@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
 
   // -- measured: pool-parallel model step (worker lanes) -------------------
   {
-    // A dedicated pool so the demo shows worker lanes even on one-core
-    // machines, where host_pool() has zero workers.
+    // A fixed 3-worker pool so the demo shows worker lanes even on
+    // one-core machines.
     exec::ThreadPool pool(3);
     sw::SwModel model(*mesh, params);
     model.set_pool(&pool);

@@ -2,8 +2,11 @@
 // and the offload residency runtime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "exec/offload.hpp"
@@ -72,6 +75,125 @@ TEST(ThreadPool, EmptyRangeIsANoop) {
   bool touched = false;
   pool.parallel_for(0, [&](Index, Index) { touched = true; });
   EXPECT_FALSE(touched);
+}
+
+// -- spin-then-park handshake ------------------------------------------------
+// Idle workers spin for a bounded window, then park; these cover both sides
+// of that window, the lost-wake-up races between them, and teardown.
+
+// Longer than the pool's spin window, so idle participants are parked.
+constexpr auto kPastSpinWindow = std::chrono::milliseconds(5);
+
+TEST(ThreadPoolHandshake, RegionAfterSpinWindowWakesParkedWorkers) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 5; ++round) {
+    std::this_thread::sleep_for(kPastSpinWindow);
+    std::vector<std::atomic<int>> hits(4000);
+    pool.parallel_for(4000, [&](Index b, Index e) {
+      for (Index i = b; i < e; ++i) hits[i].fetch_add(1);
+    });
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+  }
+  EXPECT_EQ(pool.regions_opened(), 5u);
+}
+
+TEST(ThreadPoolHandshake, BackToBackTinyRegionsLoseNoWakeUp) {
+  ThreadPool pool(3);
+  constexpr int kRegions = 100000;
+  std::atomic<long> sum{0};
+  for (int r = 0; r < kRegions; ++r) {
+    // Now and then idle for about the spin window, so region publication
+    // races workers that are just giving up spinning and parking.
+    if (r % 1024 == 0)
+      std::this_thread::sleep_for(std::chrono::microseconds(r % 400));
+    pool.parallel_for(4, [&](Index b, Index e) {
+      for (Index i = b; i < e; ++i) sum.fetch_add(i + 1);
+    });
+  }
+  EXPECT_EQ(sum.load(), 10L * kRegions);
+  EXPECT_EQ(pool.regions_opened(), static_cast<std::uint64_t>(kRegions));
+}
+
+TEST(ThreadPoolHandshake, WorkerExceptionIsRethrownAndPoolStaysUsable) {
+  ThreadPool pool(3);
+  const auto caller = std::this_thread::get_id();
+  for (int round = 0; round < 3; ++round) {
+    std::atomic<int> caller_slabs{0};
+    EXPECT_THROW(pool.parallel_for(400,
+                                   [&](Index, Index) {
+                                     if (std::this_thread::get_id() == caller) {
+                                       caller_slabs.fetch_add(1);
+                                       return;
+                                     }
+                                     throw Error("worker boom");
+                                   }),
+                 Error);
+    EXPECT_EQ(caller_slabs.load(), 1);  // the caller's own slab did not throw
+    std::atomic<int> count{0};
+    pool.parallel_for(1000, [&](Index b, Index e) { count += e - b; });
+    EXPECT_EQ(count.load(), 1000);
+  }
+}
+
+TEST(ThreadPoolHandshake, DestroyWhileWorkersSpinOrPark) {
+  for (int i = 0; i < 20; ++i) {
+    ThreadPool never_used(3);
+  }
+  for (int i = 0; i < 20; ++i) {
+    ThreadPool spinning(3);
+    std::atomic<int> count{0};
+    spinning.parallel_for(64, [&](Index b, Index e) { count += e - b; });
+    EXPECT_EQ(count.load(), 64);
+  }  // destroyed right after the region, workers still inside the window
+  for (int i = 0; i < 3; ++i) {
+    ThreadPool parked(3);
+    parked.parallel_for(64, [](Index, Index) {});
+    std::this_thread::sleep_for(kPastSpinWindow);
+  }
+}
+
+TEST(ThreadPoolHandshake, WaitIdleFromSecondThreadBlocksUntilRegionEnds) {
+  ThreadPool pool(2);
+  pool.wait_idle();  // idle pool: returns at once
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> idle_returned{false};
+  std::thread region([&] {
+    pool.parallel_for(3, [&](Index, Index) {
+      started = true;
+      while (!release) std::this_thread::yield();
+    });
+  });
+  while (!started) std::this_thread::yield();
+  std::thread waiter([&] {
+    pool.wait_idle();
+    idle_returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(idle_returned.load());  // the region cannot have ended
+  release = true;
+  region.join();
+  waiter.join();
+  EXPECT_TRUE(idle_returned.load());
+}
+
+TEST(ThreadPoolHandshake, OversubscribedPoolCoversRangeExactlyOnce) {
+  const int threads =
+      2 * static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  ThreadPool pool(threads);
+  for (auto schedule : {LoopSchedule::Static, LoopSchedule::Dynamic}) {
+    for (int round = 0; round < 50; ++round) {
+      std::vector<std::atomic<int>> hits(5003);
+      pool.parallel_for(
+          5003,
+          [&](Index b, Index e) {
+            for (Index i = b; i < e; ++i) hits[i].fetch_add(1);
+          },
+          schedule, 97);
+      for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+    }
+  }
 }
 
 class OffloadTest : public ::testing::Test {

@@ -13,12 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <time.h>
 
 #include "analysis/lock_order.hpp"
 #include "exec/thread_pool.hpp"
@@ -255,27 +256,32 @@ TEST(LockOrder, DarkModeOverheadIsNegligible) {
   util::Mutex wrapped{"test.lockorder.dark", 0};
   volatile int sink = 0;
 
+  // CPU time of this thread, not wall time: a loop preempted by a
+  // concurrent test process (ctest -j, briefly spinning pool workers) is
+  // not charged for the time it was off the CPU.
+  const auto thread_cpu_seconds = [] {
+    timespec ts{};
+    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+  };
   const auto time_raw = [&] {
-    const auto start = std::chrono::steady_clock::now();
+    const double start = thread_cpu_seconds();
     for (int i = 0; i < kIters; ++i) {
       raw.lock();
       sink = sink + 1;
       raw.unlock();
     }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
+    return thread_cpu_seconds() - start;
   };
   const auto time_wrapped = [&] {
-    const auto start = std::chrono::steady_clock::now();
+    const double start = thread_cpu_seconds();
     for (int i = 0; i < kIters; ++i) {
       wrapped.lock();
       sink = sink + 1;
       wrapped.unlock();
     }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
+    return thread_cpu_seconds() - start;
   };
 
   double best_ratio = 1e9;
