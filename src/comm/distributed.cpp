@@ -1,17 +1,16 @@
 #include "comm/distributed.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
 #include <thread>
 
+#include "exec/thread_pool.hpp"
 #include "obs/trace.hpp"
 #include "resilience/channel.hpp"
 #include "resilience/checkpoint.hpp"
-#include "sw/invariants.hpp"
 #include "util/error.hpp"
-#include "util/lock_ranks.hpp"
-#include "util/mutex.hpp"
 
 namespace mpas::comm {
 
@@ -35,6 +34,15 @@ class SimWorldTransport final : public resilience::Transport {
  private:
   SimWorld& world_;
 };
+
+/// Rank-pool workers: one participant per rank (the caller is one), capped
+/// at the cores. A rank never blocks inside a region, so a participant
+/// beyond the cores could only be preempted (DESIGN.md §7).
+int rank_pool_workers(int num_ranks) {
+  const int cores =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  return std::min(num_ranks, cores) - 1;
+}
 
 void flip_state_bit(std::span<Real> data, std::uint64_t word,
                     std::uint32_t bit) {
@@ -103,7 +111,9 @@ DistributedSw::DistributedSw(const mesh::VoronoiMesh& global_mesh,
       variant_(variant),
       halo_layers_(halo_layers),
       part_(partition::partition_cells_rcb(global_mesh, num_ranks)),
-      world_(std::make_unique<SimWorld>(num_ranks)) {
+      world_(std::make_unique<SimWorld>(num_ranks)),
+      pool_(std::make_unique<exec::ThreadPool>(
+          rank_pool_workers(num_ranks))) {
   // The irregular (scatter) variants traverse whole arrays, including ghost
   // entities with off-rank neighbours — they are not partition-safe. This
   // mirrors the paper: the original loops had to be refactored before any
@@ -129,6 +139,13 @@ void DistributedSw::apply_test_case(const sw::TestCase& tc) {
   for (int r = 0; r < num_ranks(); ++r)
     sw::apply_initial_conditions(tc, locals_[static_cast<std::size_t>(r)].mesh,
                                  *stores_[static_cast<std::size_t>(r)]);
+}
+
+void DistributedSw::for_each_rank(const std::function<void(int)>& body) {
+  // Static slabs: each participant owns a fixed, contiguous set of ranks.
+  pool_->parallel_for(num_ranks(), [&](Index begin, Index end) {
+    for (Index r = begin; r < end; ++r) body(static_cast<int>(r));
+  });
 }
 
 void DistributedSw::exchange(FieldId field) {
@@ -219,17 +236,19 @@ void DistributedSw::compute_tend(int rank, FieldId h_in, FieldId u_in) {
   sw::enforce_boundary_edge(ctx, 0, lm.num_owned_edges);
 }
 
+void DistributedSw::reconstruct(int rank) {
+  const auto& lm = locals_[static_cast<std::size_t>(rank)];
+  sw::SwContext ctx{lm.mesh, *stores_[static_cast<std::size_t>(rank)],
+                    params_, 0, 0};
+  sw::reconstruct_vector(ctx, FieldId::U, 0, lm.num_owned_cells, variant_);
+  sw::reconstruct_horizontal(ctx, 0, lm.num_owned_cells);
+}
+
 void DistributedSw::initialize() {
-  for (int r = 0; r < num_ranks(); ++r)
-    compute_diagnostics(r, FieldId::H, FieldId::U);
+  for_each_rank(
+      [&](int r) { compute_diagnostics(r, FieldId::H, FieldId::U); });
   exchange(FieldId::PvEdge);
-  for (int r = 0; r < num_ranks(); ++r) {
-    const auto& lm = locals_[static_cast<std::size_t>(r)];
-    sw::SwContext ctx{lm.mesh, *stores_[static_cast<std::size_t>(r)],
-                      params_, 0, 0};
-    sw::reconstruct_vector(ctx, FieldId::U, 0, lm.num_owned_cells, variant_);
-    sw::reconstruct_horizontal(ctx, 0, lm.num_owned_cells);
-  }
+  for_each_rank([&](int r) { reconstruct(r); });
 }
 
 void DistributedSw::step() {
@@ -238,32 +257,30 @@ void DistributedSw::step() {
   static constexpr Real kA[3] = {0.5, 0.5, 1.0};
   static constexpr Real kB[4] = {1.0 / 6, 1.0 / 3, 1.0 / 3, 1.0 / 6};
 
-  // Step setup: seed provis and accumulators on all local entities so the
-  // halo copies of provis start coherent (H/U halos are coherent from the
-  // previous step's exchange).
-  for (int r = 0; r < num_ranks(); ++r) {
-    const auto& lm = locals_[static_cast<std::size_t>(r)];
-    sw::SwContext ctx{lm.mesh, *stores_[static_cast<std::size_t>(r)],
-                      params_, 0, 0};
-    sw::seed_provis_h(ctx, 0, lm.mesh.num_cells);
-    sw::seed_provis_u(ctx, 0, lm.mesh.num_edges);
-    sw::init_accum_h(ctx, 0, lm.num_owned_cells);
-    sw::init_accum_u(ctx, 0, lm.num_owned_edges);
-    if (params_.with_tracer) {
-      sw::seed_provis_tracer(ctx, 0, lm.mesh.num_cells);
-      sw::init_accum_tracer(ctx, 0, lm.num_owned_cells);
-    }
-  }
-
   for (int stage = 0; stage < 4; ++stage) {
-    for (int r = 0; r < num_ranks(); ++r)
+    const bool last = stage == 3;
+    // Every rank's work up to the stage's first halo sync.
+    for_each_rank([&](int r) {
+      const auto& lm = locals_[static_cast<std::size_t>(r)];
+      sw::FieldStore& store = *stores_[static_cast<std::size_t>(r)];
+      if (stage == 0) {
+        // Step setup: seed provis and accumulators on all local entities so
+        // the halo copies of provis start coherent (H/U halos are coherent
+        // from the previous step's exchange).
+        sw::SwContext ctx{lm.mesh, store, params_, 0, 0};
+        sw::seed_provis_h(ctx, 0, lm.mesh.num_cells);
+        sw::seed_provis_u(ctx, 0, lm.mesh.num_edges);
+        sw::init_accum_h(ctx, 0, lm.num_owned_cells);
+        sw::init_accum_u(ctx, 0, lm.num_owned_edges);
+        if (params_.with_tracer) {
+          sw::seed_provis_tracer(ctx, 0, lm.mesh.num_cells);
+          sw::init_accum_tracer(ctx, 0, lm.num_owned_cells);
+        }
+      }
       compute_tend(r, FieldId::HProvis, FieldId::UProvis);
-
-    if (stage < 3) {
-      for (int r = 0; r < num_ranks(); ++r) {
-        const auto& lm = locals_[static_cast<std::size_t>(r)];
-        sw::SwContext ctx{lm.mesh, *stores_[static_cast<std::size_t>(r)],
-                          params_, kA[stage] * dt, kB[stage] * dt};
+      if (!last) {
+        sw::SwContext ctx{lm.mesh, store, params_, kA[stage] * dt,
+                          kB[stage] * dt};
         sw::next_substep_h(ctx, 0, lm.num_owned_cells);
         sw::next_substep_u(ctx, 0, lm.num_owned_edges);
         sw::accumulate_h(ctx, 0, lm.num_owned_cells);
@@ -272,18 +289,8 @@ void DistributedSw::step() {
           sw::next_substep_tracer(ctx, 0, lm.num_owned_cells);
           sw::accumulate_tracer(ctx, 0, lm.num_owned_cells);
         }
-      }
-      exchange(FieldId::HProvis);  // first halo sync of the substep
-      exchange(FieldId::UProvis);
-      if (params_.with_tracer) exchange(FieldId::TracerQProvis);
-      for (int r = 0; r < num_ranks(); ++r)
-        compute_diagnostics(r, FieldId::HProvis, FieldId::UProvis);
-      exchange(FieldId::PvEdge);   // second halo sync (APVM stencil)
-    } else {
-      for (int r = 0; r < num_ranks(); ++r) {
-        const auto& lm = locals_[static_cast<std::size_t>(r)];
-        sw::SwContext ctx{lm.mesh, *stores_[static_cast<std::size_t>(r)],
-                          params_, 0, kB[stage] * dt};
+      } else {
+        sw::SwContext ctx{lm.mesh, store, params_, 0, kB[stage] * dt};
         sw::accumulate_h(ctx, 0, lm.num_owned_cells);
         sw::accumulate_u(ctx, 0, lm.num_owned_edges);
         sw::commit_h(ctx, 0, lm.num_owned_cells);
@@ -293,22 +300,20 @@ void DistributedSw::step() {
           sw::commit_tracer(ctx, 0, lm.num_owned_cells);
         }
       }
-      exchange(FieldId::H);
-      exchange(FieldId::U);
-      if (params_.with_tracer) exchange(FieldId::TracerQ);
-      for (int r = 0; r < num_ranks(); ++r)
-        compute_diagnostics(r, FieldId::H, FieldId::U);
-      exchange(FieldId::PvEdge);
-      for (int r = 0; r < num_ranks(); ++r) {
-        const auto& lm = locals_[static_cast<std::size_t>(r)];
-        sw::SwContext ctx{lm.mesh, *stores_[static_cast<std::size_t>(r)],
-                          params_, 0, 0};
-        sw::reconstruct_vector(ctx, FieldId::U, 0, lm.num_owned_cells,
-                               variant_);
-        sw::reconstruct_horizontal(ctx, 0, lm.num_owned_cells);
-      }
-    }
+    });
+    // First halo sync (the provisional state, or the committed state after
+    // the last stage), the diagnostics on it, then the second sync (APVM
+    // stencil).
+    const FieldId h = last ? FieldId::H : FieldId::HProvis;
+    const FieldId u = last ? FieldId::U : FieldId::UProvis;
+    exchange(h);
+    exchange(u);
+    if (params_.with_tracer)
+      exchange(last ? FieldId::TracerQ : FieldId::TracerQProvis);
+    for_each_rank([&](int r) { compute_diagnostics(r, h, u); });
+    exchange(FieldId::PvEdge);
   }
+  for_each_rank([&](int r) { reconstruct(r); });
 }
 
 void DistributedSw::run(int steps) {
@@ -337,13 +342,7 @@ void DistributedSw::run_resilient(int steps) {
   if (!rs.baseline_set) {
     // Conserved-integral baseline for the drift detector, taken on the
     // initial (trusted) state.
-    sw::StateHealth health;
-    for (int r = 0; r < num_ranks(); ++r) {
-      const auto& lm = locals_[static_cast<std::size_t>(r)];
-      health += sw::compute_state_health(
-          lm.mesh, *stores_[static_cast<std::size_t>(r)], lm.num_owned_cells,
-          lm.num_owned_edges);
-    }
+    const sw::StateHealth health = state_health();
     MPAS_CHECK_MSG(health.finite && health.h_min > 0,
                    "initial state is already unhealthy");
     rs.baseline_mass = health.mass;
@@ -466,16 +465,23 @@ void DistributedSw::apply_step_faults(std::int64_t step) {
   }
 }
 
+sw::StateHealth DistributedSw::state_health() {
+  std::vector<sw::StateHealth> partial(static_cast<std::size_t>(num_ranks()));
+  for_each_rank([&](int r) {
+    const auto& lm = locals_[static_cast<std::size_t>(r)];
+    partial[static_cast<std::size_t>(r)] = sw::compute_state_health(
+        lm.mesh, *stores_[static_cast<std::size_t>(r)], lm.num_owned_cells,
+        lm.num_owned_edges);
+  });
+  sw::StateHealth health;
+  for (const auto& p : partial) health += p;  // rank order
+  return health;
+}
+
 bool DistributedSw::state_healthy(std::string* reason) {
   Resilience& rs = *resilience_;
   rs.health_checks += 1;
-  sw::StateHealth health;
-  for (int r = 0; r < num_ranks(); ++r) {
-    const auto& lm = locals_[static_cast<std::size_t>(r)];
-    health += sw::compute_state_health(
-        lm.mesh, *stores_[static_cast<std::size_t>(r)], lm.num_owned_cells,
-        lm.num_owned_edges);
-  }
+  const sw::StateHealth health = state_health();
   std::ostringstream why;
   if (!health.finite) {
     why << "non-finite prognostic state";
@@ -583,6 +589,9 @@ void DistributedSw::shrink_to(int new_num_ranks) {
     stores_.push_back(std::make_unique<sw::FieldStore>(
         locals_[static_cast<std::size_t>(r)].mesh));
   world_ = std::make_unique<SimWorld>(new_num_ranks);
+  pool_.reset();  // the old workers exit before the new ones start
+  pool_ =
+      std::make_unique<exec::ThreadPool>(rank_pool_workers(new_num_ranks));
 
   // 3. Re-arm the resilience engine over the new fabric. The channel (and
   //    its per-stream sequence state) restarts clean; cumulative counters
@@ -648,138 +657,6 @@ resilience::ResilienceStats DistributedSw::resilience_stats() const {
   stats.stalls = rs.stalls;
   stats.modeled_seconds_lost = rs.modeled_seconds_lost;
   return stats;
-}
-
-void DistributedSw::exchange_rank(int rank, FieldId field) {
-  const MeshLocation loc = sw::field_info(field).location;
-  const int tag = static_cast<int>(field);
-  const auto& plan = plans_[static_cast<std::size_t>(rank)];
-  auto data = stores_[static_cast<std::size_t>(rank)]->get(field);
-  // Post every send first (non-blocking), then drain receives — the same
-  // Isend/Recv structure a real MPI halo exchange uses; two ranks
-  // exchanging with each other therefore never deadlock.
-  for (const auto& peer : plan.peers) {
-    const auto& send =
-        loc == MeshLocation::Cell ? peer.send_cells : peer.send_edges;
-    if (send.empty()) continue;
-    std::vector<Real> buf;
-    buf.reserve(send.size());
-    for (Index i : send) buf.push_back(data[static_cast<std::size_t>(i)]);
-    if (resilience_)
-      resilience_->channel.send(rank, peer.rank, tag, std::move(buf));
-    else
-      world_->send(rank, peer.rank, tag, std::move(buf));
-  }
-  for (const auto& peer : plan.peers) {
-    const auto& recv =
-        loc == MeshLocation::Cell ? peer.recv_cells : peer.recv_edges;
-    if (recv.empty()) continue;
-    const std::vector<Real> buf =
-        resilience_
-            ? resilience_->channel.recv(rank, peer.rank, tag, recv.size())
-            : world_->recv_blocking(rank, peer.rank, tag);
-    MPAS_CHECK(buf.size() == recv.size());
-    for (std::size_t i = 0; i < recv.size(); ++i)
-      data[static_cast<std::size_t>(recv[i])] = buf[i];
-  }
-}
-
-void DistributedSw::step_rank(int rank) {
-  // Twin of step(), restricted to one rank with rank-local exchanges (kept
-  // in sync with the lockstep driver; the equality of both modes and the
-  // serial reference is pinned by tests).
-  const Real dt = params_.dt;
-  static constexpr Real kA[3] = {0.5, 0.5, 1.0};
-  static constexpr Real kB[4] = {1.0 / 6, 1.0 / 3, 1.0 / 3, 1.0 / 6};
-  const auto& lm = locals_[static_cast<std::size_t>(rank)];
-  sw::FieldStore& store = *stores_[static_cast<std::size_t>(rank)];
-
-  {
-    sw::SwContext ctx{lm.mesh, store, params_, 0, 0};
-    sw::seed_provis_h(ctx, 0, lm.mesh.num_cells);
-    sw::seed_provis_u(ctx, 0, lm.mesh.num_edges);
-    sw::init_accum_h(ctx, 0, lm.num_owned_cells);
-    sw::init_accum_u(ctx, 0, lm.num_owned_edges);
-    if (params_.with_tracer) {
-      sw::seed_provis_tracer(ctx, 0, lm.mesh.num_cells);
-      sw::init_accum_tracer(ctx, 0, lm.num_owned_cells);
-    }
-  }
-
-  for (int stage = 0; stage < 4; ++stage) {
-    compute_tend(rank, FieldId::HProvis, FieldId::UProvis);
-    if (stage < 3) {
-      sw::SwContext ctx{lm.mesh, store, params_, kA[stage] * dt,
-                        kB[stage] * dt};
-      sw::next_substep_h(ctx, 0, lm.num_owned_cells);
-      sw::next_substep_u(ctx, 0, lm.num_owned_edges);
-      sw::accumulate_h(ctx, 0, lm.num_owned_cells);
-      sw::accumulate_u(ctx, 0, lm.num_owned_edges);
-      if (params_.with_tracer) {
-        sw::next_substep_tracer(ctx, 0, lm.num_owned_cells);
-        sw::accumulate_tracer(ctx, 0, lm.num_owned_cells);
-      }
-      exchange_rank(rank, FieldId::HProvis);
-      exchange_rank(rank, FieldId::UProvis);
-      if (params_.with_tracer) exchange_rank(rank, FieldId::TracerQProvis);
-      compute_diagnostics(rank, FieldId::HProvis, FieldId::UProvis);
-      exchange_rank(rank, FieldId::PvEdge);
-    } else {
-      sw::SwContext ctx{lm.mesh, store, params_, 0, kB[stage] * dt};
-      sw::accumulate_h(ctx, 0, lm.num_owned_cells);
-      sw::accumulate_u(ctx, 0, lm.num_owned_edges);
-      sw::commit_h(ctx, 0, lm.num_owned_cells);
-      sw::commit_u(ctx, 0, lm.num_owned_edges);
-      if (params_.with_tracer) {
-        sw::accumulate_tracer(ctx, 0, lm.num_owned_cells);
-        sw::commit_tracer(ctx, 0, lm.num_owned_cells);
-      }
-      exchange_rank(rank, FieldId::H);
-      exchange_rank(rank, FieldId::U);
-      if (params_.with_tracer) exchange_rank(rank, FieldId::TracerQ);
-      compute_diagnostics(rank, FieldId::H, FieldId::U);
-      exchange_rank(rank, FieldId::PvEdge);
-      sw::SwContext rctx{lm.mesh, store, params_, 0, 0};
-      sw::reconstruct_vector(rctx, FieldId::U, 0, lm.num_owned_cells,
-                             variant_);
-      sw::reconstruct_horizontal(rctx, 0, lm.num_owned_cells);
-    }
-  }
-}
-
-void DistributedSw::run_threaded(int steps) {
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(num_ranks()));
-  std::exception_ptr error;
-  util::Mutex error_mutex{"comm.distributed_error",
-                          util::lockrank::kDistributedError};
-  for (int r = 0; r < num_ranks(); ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        {
-          auto& rec = obs::TraceRecorder::global();
-          if (rec.enabled())
-            rec.set_thread_name("rank-" + std::to_string(r));
-        }
-        for (int s = 0; s < steps; ++s) {
-          MPAS_TRACE_SCOPE("distributed:step_rank");
-          step_rank(r);
-        }
-      } catch (...) {
-        util::LockGuard lock(error_mutex);
-        if (!error) error = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  if (error) std::rethrow_exception(error);
-  if (resilience_) {
-    drain_stale_messages();
-    step_index_ += steps;
-  } else {
-    MPAS_CHECK_MSG(!world_->has_pending(), "unmatched halo messages");
-    step_index_ += steps;
-  }
 }
 
 std::vector<Real> DistributedSw::gather_global(FieldId field) const {

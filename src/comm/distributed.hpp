@@ -4,9 +4,16 @@
 // provisional state and of pv_edge at the sync points of Figure 4. Owned
 // values are bitwise identical to a serial run on the global mesh (tested),
 // because every kernel gathers the same inputs in the same order.
+//
+// One driver (DESIGN.md §7): the per-rank work between two halo exchanges
+// runs concurrently, one static parallel_for over the ranks on a pool of
+// min(ranks, cores) participants; every exchange runs on the calling
+// thread, all sends in rank order and then all receives, so the fabric
+// sees the same message sequence on every run.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -15,8 +22,13 @@
 #include "resilience/fault.hpp"
 #include "resilience/health/monitor.hpp"
 #include "resilience/stats.hpp"
+#include "sw/invariants.hpp"
 #include "sw/kernels.hpp"
 #include "sw/testcases.hpp"
+
+namespace mpas::exec {
+class ThreadPool;
+}
 
 namespace mpas::comm {
 
@@ -51,12 +63,6 @@ class DistributedSw {
   void step();
   void run(int steps);
 
-  /// Run `steps` steps with one thread per rank, exchanging halos through
-  /// the message fabric with blocking receives (true MPI-style concurrent
-  /// execution instead of the lockstep driver). Bitwise identical results
-  /// (tested): values only ever flow through the FIFO message queues.
-  void run_threaded(int steps);
-
   [[nodiscard]] int num_ranks() const { return world_->num_ranks(); }
   [[nodiscard]] const partition::LocalMesh& local_mesh(int rank) const {
     return locals_[static_cast<std::size_t>(rank)];
@@ -77,9 +83,9 @@ class DistributedSw {
   /// checksummed envelopes with bounded retransmission; `run` additionally
   /// checkpoints every rank's full field state every `checkpoint_interval`
   /// steps, health-checks the state after every step, and rolls back and
-  /// replays when the state is poisoned. Call before any exchange traffic
-  /// (i.e. before initialize()). `run_threaded` gets the message-level
-  /// detection/recovery; checkpoint/rollback is lockstep-only.
+  /// replays when the state is poisoned. Checkpoint, health decision,
+  /// rollback and shrink are step-boundary decisions on the calling thread.
+  /// Call before any exchange traffic (i.e. before initialize()).
   void enable_resilience(const ResilienceOptions& options);
 
   [[nodiscard]] bool resilience_enabled() const {
@@ -96,7 +102,7 @@ class DistributedSw {
   /// plus injected stall seconds) and, when ranks end up quarantined,
   /// shrinks the world onto the survivors at the next step boundary. The
   /// caller may pre-track entities; untracked ranks are tracked on first
-  /// use. Lockstep run() only — run_threaded does not consult it.
+  /// use. The monitor is only ever called from the calling thread.
   void set_health_monitor(resilience::health::HealthMonitor* monitor);
 
   /// Override the fabric's fault injector. The SimWorld attaches the
@@ -118,16 +124,21 @@ class DistributedSw {
  private:
   struct Resilience;  // channel + checkpoint + counters (distributed.cpp)
 
+  /// Run `body(rank)` for every rank on the rank pool; returns when all
+  /// are done and rethrows the first exception any rank raised.
+  void for_each_rank(const std::function<void(int)>& body);
   void exchange(sw::FieldId field);
-  void exchange_rank(int rank, sw::FieldId field);  // threaded-mode variant
-  void step_rank(int rank);                         // one rank's full step
   void compute_diagnostics(int rank, sw::FieldId h_in, sw::FieldId u_in);
   void compute_tend(int rank, sw::FieldId h_in, sw::FieldId u_in);
+  void reconstruct(int rank);
 
   void run_resilient(int steps);
   void take_checkpoint();
   void rollback();
   void apply_step_faults(std::int64_t step);
+  /// Health signature of the whole owned state: per-rank scans on the rank
+  /// pool, summed in rank order so the sums are run-to-run identical.
+  [[nodiscard]] sw::StateHealth state_health();
   [[nodiscard]] bool state_healthy(std::string* reason);
   void drain_stale_messages();
 
@@ -146,6 +157,8 @@ class DistributedSw {
   // unique_ptr: SimWorld owns a mutex (immovable), and shrink_to swaps in
   // a fresh, smaller fabric.
   std::unique_ptr<SimWorld> world_;
+  // Participants for the per-rank phases; rebuilt by shrink_to.
+  std::unique_ptr<exec::ThreadPool> pool_;
   std::unique_ptr<Resilience> resilience_;
   resilience::health::HealthMonitor* health_ = nullptr;
   std::uint64_t health_generation_ = 0;

@@ -1,10 +1,12 @@
 // In-process message-passing fabric: the MPI substitute (see DESIGN.md).
 //
-// Ranks are partition-local model instances driven in lockstep inside one
-// process. Messages are explicit typed buffers matched by (source,
-// destination, tag) in FIFO order — the same structure an MPI halo exchange
-// has, so exchange volume and message counts are measured for real; only
-// the wire time is modeled (machine::Network).
+// Ranks are partition-local model instances inside one process; their
+// compute phases may run concurrently, but comm::DistributedSw posts and
+// receives every halo message from one thread, in a fixed order. Messages
+// are explicit typed buffers matched by (source, destination, tag) in FIFO
+// order — the same structure an MPI halo exchange has, so exchange volume
+// and message counts are measured for real; only the wire time is modeled
+// (machine::Network).
 //
 // A resilience::FaultInjector can be hooked into the fabric; `send` then
 // consults it per message and may drop the payload, flip a bit in flight,
@@ -40,19 +42,11 @@ class SimWorld {
   void send(int from, int to, int tag, std::vector<Real> payload);
 
   /// FIFO-matched receive. Throws if no matching message has been posted —
-  /// the lockstep driver always posts all sends of a phase first.
+  /// the exchange always posts all sends of a phase first.
   std::vector<Real> recv(int to, int from, int tag);
 
   /// Non-throwing FIFO-matched receive: nullopt if nothing is queued.
   std::optional<std::vector<Real>> try_recv(int to, int from, int tag);
-
-  /// Blocking FIFO-matched receive (MPI_Recv-like) for the threaded
-  /// driver: waits until a matching message arrives. Throws after the
-  /// timeout (deadlock guard) with the endpoint, the wait duration, and a
-  /// summary of every pending queue. `timeout_ms < 0` (the default) means
-  /// "the MPAS_RECV_TIMEOUT_MS environment variable, else 30000 ms".
-  std::vector<Real> recv_blocking(int to, int from, int tag,
-                                  int timeout_ms = -1);
 
   /// True if any message is still queued (catches protocol bugs in tests).
   /// Messages held back by an injected delay fault are in flight on a slow
@@ -97,7 +91,6 @@ class SimWorld {
   std::int64_t in_flight_ MPAS_GUARDED_BY(mutex_) = 0;
   obs::Gauge* depth_gauge_ = nullptr;  // resolved once in the constructor
   mutable util::Mutex mutex_{"comm.simworld", util::lockrank::kSimWorld};
-  util::ConditionVariable cv_;
   std::map<Key, std::deque<std::vector<Real>>> queues_
       MPAS_GUARDED_BY(mutex_);
   // Messages held back by a delay fault; delivered ahead of the next send

@@ -127,9 +127,9 @@ std::vector<Real> ResilientChannel::recv(int to, int from, int tag,
       return std::move(opened->payload);
     }
 
-    // Nothing queued: either the message was dropped, or (threaded mode)
-    // the sender simply has not posted it yet. The stream's send counter is
-    // the proof: the sender only advances it when it posts.
+    // Nothing queued: either the message was dropped, or (on a concurrent
+    // transport) the sender simply has not posted it yet. The stream's send
+    // counter is the proof: the sender only advances it when it posts.
     const bool sender_posted = stream.next_send_seq > stream.next_recv_seq;
     if (sender_posted && Clock::now() >= patience) {
       stats_.detected_drops += 1;

@@ -15,9 +15,11 @@
 //                    the spec's own seeded PRNG stream (deterministic for a
 //                    fixed seed and event order — stress-test mode).
 //
-// The injector is thread-safe (the threaded driver sends from one thread
-// per rank) and never calls back into the runtimes, so it can be queried
-// under their locks without ordering hazards.
+// The injector is thread-safe (the ambient MPAS_FAULT campaign is one
+// injector shared by every fabric and offload runtime in the process,
+// including those of concurrent service sessions) and never calls back
+// into the runtimes, so it can be queried under their locks without
+// ordering hazards.
 #pragma once
 
 #include <array>
@@ -166,8 +168,9 @@ Real default_channel_timeout_ms();
 /// Bounded-retry policy shared by the message channel and the offload link.
 struct RetryPolicy {
   int max_attempts = 4;        // delivery attempts per message/transfer
-  Real resend_wait_ms = 1.0;   // threaded mode: patience before declaring a
-                               // posted-but-missing message dropped
+  Real resend_wait_ms = 1.0;   // patience before declaring a posted-but-
+                               // missing message dropped (a transport may
+                               // still be delivering it)
   Real total_timeout_ms = default_channel_timeout_ms();  // deadline/receive
 };
 

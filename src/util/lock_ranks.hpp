@@ -38,7 +38,6 @@ inline constexpr int kSessionReference = 18;  // service.session.reference
 inline constexpr int kHealthMonitor = 30;     // resilience.health.monitor
 inline constexpr int kChannel = 38;           // resilience.channel
 inline constexpr int kSimWorld = 40;          // comm.simworld
-inline constexpr int kDistributedError = 44;  // comm.distributed.error
 inline constexpr int kFaultInjector = 46;     // resilience.fault
 inline constexpr int kDurableWriter = 48;     // resilience.durable.writer
 

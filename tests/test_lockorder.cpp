@@ -28,6 +28,16 @@
 #include "service/session_manager.hpp"
 #include "util/mutex.hpp"
 
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+#define MPAS_TEST_SANITIZED 1
+#endif
+#endif
+#if (defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)) && \
+    !defined(MPAS_TEST_SANITIZED)
+#define MPAS_TEST_SANITIZED 1
+#endif
+
 namespace mpas::analysis {
 namespace {
 
@@ -297,10 +307,17 @@ TEST(LockOrder, DarkModeOverheadIsNegligible) {
     best_ratio = std::min(best_ratio, wrapped_min / raw_min);
     if (best_ratio <= 1.01) break;  // <1% contract met
   }
+#ifdef MPAS_TEST_SANITIZED
+  // A sanitizer instruments the wrapper's extra load and call, so here the
+  // ratio prices the sanitizer, not the hooks (TSan read 1.34). The loops
+  // still run; the bound is asserted in every normal build.
+  RecordProperty("dark_mode_ratio", std::to_string(best_ratio));
+#else
   // 1.01 is the contract; the extra 0.04 absorbs timer granularity on a
   // 1-CPU CI container (best-of-30 pairs makes exceeding it a real
   // regression, not noise).
   EXPECT_LE(best_ratio, 1.05);
+#endif
 }
 
 TEST(LockOrder, InstallFromEnvHonorsTheVariable) {

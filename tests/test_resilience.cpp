@@ -571,9 +571,12 @@ TEST_F(ResilientRun, FaultFreeOverheadPathIsBitwiseClean) {
 }
 
 TEST_F(ResilientRun, ThreadedRunRecoversFromMessageFaults) {
-  // One thread per rank, blocking receives, with drops and corruption on
-  // the wire: message-level recovery must still land bitwise on the
-  // fault-free trajectory (and, under TSan/ASan, prove the locking sound).
+  // Ranks computing concurrently on the rank pool, with drops and
+  // corruption on the wire: message-level recovery must still land bitwise
+  // on the fault-free trajectory with exact counts — the exchange on the
+  // calling thread keeps the message order, so the N-th message is the
+  // same message on every run (and, under TSan/ASan, the locking is
+  // proven sound).
   const auto truth = fault_free_run(mesh, kRanks, *tc, params, kSteps);
 
   FaultInjector inj;
@@ -590,7 +593,7 @@ TEST_F(ResilientRun, ThreadedRunRecoversFromMessageFaults) {
   comm::ResilienceOptions opts;
   opts.injector = &inj;
   auto d = make_distributed(mesh, kRanks, *tc, params, &opts);
-  d->run_threaded(kSteps);
+  d->run(kSteps);
 
   expect_bitwise_equal(gather_state(*d), truth);
   EXPECT_TRUE(inj.exhausted());
@@ -598,6 +601,7 @@ TEST_F(ResilientRun, ThreadedRunRecoversFromMessageFaults) {
   EXPECT_EQ(s.channel.detected_drops, 1u);
   EXPECT_EQ(s.channel.detected_corruptions, 1u);
   EXPECT_EQ(s.channel.retransmits, 2u);
+  EXPECT_EQ(s.rollbacks, 0u);
 }
 
 TEST(ResilientChannel, DelayedThenDeliveredOriginalCountsOneRetransmit) {
