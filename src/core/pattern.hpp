@@ -50,6 +50,11 @@ enum class KernelGroup : int {
 
 const char* to_string(KernelGroup k);
 
+/// How far into a rank's halo a pattern computes: every local entity, or
+/// the owned, compute or inner prefix of partition::LocalMesh. On a mesh
+/// without a halo every extent is the whole entity space.
+enum class Extent : int { All = 0, Owned, Compute, Inner };
+
 /// Which loop flavour a pattern executes with (Algorithms 2/3/4).
 enum class VariantChoice : int { Irregular = 0, Refactored = 1, BranchFree = 2 };
 
@@ -69,6 +74,7 @@ struct PatternNode {
   PatternKind kind = PatternKind::Local;
   KernelGroup kernel = KernelGroup::ComputeTend;
   MeshLocation iterates = MeshLocation::Cell;  // output entity space
+  Extent extent = Extent::All;                 // prefix of it on a rank
 
   // Field names for dependency analysis and the Table I report. Names, not
   // typed ids, so core stays independent of the sw layer.

@@ -33,7 +33,8 @@ Real scramble_value(int field, std::size_t i) {
 }  // namespace
 
 analysis::Report verify_pattern_access(const core::DataflowGraph& graph,
-                                       SwContext& ctx) {
+                                       SwContext& ctx,
+                                       const partition::LocalMesh* local_mesh) {
   analysis::Report report;
   FieldStore& fs = ctx.fields;
 
@@ -71,7 +72,10 @@ analysis::Report verify_pattern_access(const core::DataflowGraph& graph,
 
     tracker.clear();
     fs.set_tracker(&tracker);
-    node.body({0, fs.size_of(node.iterates), core::VariantChoice::BranchFree});
+    // A rank mesh's ghost entities have off-rank neighbours; replay only
+    // the prefix the executor runs.
+    node.body({0, extent_end(node, fs, local_mesh),
+               core::VariantChoice::BranchFree});
     fs.set_tracker(nullptr);
 
     for (int f = 0; f < kNumFields; ++f) {
@@ -165,14 +169,15 @@ analysis::Report verify_schedule_races(const core::DataflowGraph& graph) {
 }
 
 analysis::Report verify_sw_graphs(const SwGraphs& graphs, SwContext* ctx,
-                                  const VerifyOptions& options) {
+                                  const VerifyOptions& options,
+                                  const partition::LocalMesh* local_mesh) {
   analysis::Report report;
   const core::DataflowGraph* all[] = {&graphs.setup, &graphs.early,
                                       &graphs.final};
   for (const core::DataflowGraph* graph : all) {
     analysis::Report local = analysis::verify_graph(*graph, options.graph);
     if (options.check_access_sets && ctx != nullptr)
-      local.merge(verify_pattern_access(*graph, *ctx));
+      local.merge(verify_pattern_access(*graph, *ctx, local_mesh));
     if (options.check_schedule_races)
       local.merge(verify_schedule_races(*graph));
     for (analysis::Diagnostic d : local.diagnostics()) {

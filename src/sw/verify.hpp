@@ -24,15 +24,16 @@
 
 namespace mpas::sw {
 
-/// Replay each node body of `graph` once over its full iteration range and
-/// validate the observed accesses against the declared sets. Field
-/// contents and the RK coefficients of `ctx` are saved and restored; the
-/// replay itself runs on deterministic scrambled data so writes are
-/// detectable by value diff. Codes: "undeclared-write" (error),
+/// Replay each node body of `graph` once over its iteration range (see
+/// extent_end) and validate the observed accesses against the declared
+/// sets. Field contents and the RK coefficients of `ctx` are saved and
+/// restored; the replay itself runs on deterministic scrambled data so
+/// writes are detectable by value diff. Codes: "undeclared-write" (error),
 /// "undeclared-access" (error), "untouched-input" / "untouched-output"
 /// (warnings), "no-body" (info).
-analysis::Report verify_pattern_access(const core::DataflowGraph& graph,
-                                       SwContext& ctx);
+analysis::Report verify_pattern_access(
+    const core::DataflowGraph& graph, SwContext& ctx,
+    const partition::LocalMesh* local_mesh = nullptr);
 
 /// Model the node-parallel executor's enforced ordering (per-level
 /// barriers, halo-exchange tasks) through the happens-before race detector
@@ -47,9 +48,11 @@ struct VerifyOptions {
 };
 
 /// Run every checker over the three RK graphs. `ctx` may be null, which
-/// skips the access replay (structure-only graphs carry no bodies).
+/// skips the access replay (structure-only graphs carry no bodies);
+/// `local_mesh` bounds the replay as in verify_pattern_access.
 analysis::Report verify_sw_graphs(const SwGraphs& graphs, SwContext* ctx,
-                                  const VerifyOptions& options = {});
+                                  const VerifyOptions& options = {},
+                                  const partition::LocalMesh* local_mesh = {});
 
 /// True when the MPAS_VERIFY environment variable is "1" (any other value,
 /// or unset, disables verification).
