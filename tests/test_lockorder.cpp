@@ -193,6 +193,25 @@ TEST(LockOrder, NonLifoUnlockIsHandled) {
             1);
 }
 
+// A util::Mutex taken while a thread destroys its thread_locals, after the
+// detector's per-thread chain is gone, must leave the dead chain alone.
+// The main thread does this at exit when MPAS_TRACE writes its session
+// (an atexit handler runs after the thread_local destructors); the ASan
+// job turns a touch of the freed chain into a heap-use-after-free.
+TEST(LockOrder, MutexTakenDuringThreadTeardownIsIgnored) {
+  const ScopedDetector detector;
+  static util::Mutex late{"test.lockorder.late", 0};
+  struct LocksOnExit {
+    ~LocksOnExit() { const util::LockGuard l(late); }
+  };
+  std::thread([] {
+    thread_local LocksOnExit locks_on_exit;  // built before the chain...
+    (void)locks_on_exit;
+    const util::LockGuard l(late);  // ...which this first lock creates
+  }).join();
+  EXPECT_TRUE(LockOrderRegistry::instance().report().clean());
+}
+
 // The headline integration check: a real service workload — admission,
 // dispatch across workers, a thread-pool model run, pause/resume, cancel,
 // drain, shutdown — acquires the whole lock stack and must be clean.
