@@ -2,12 +2,15 @@
 // on this build machine vs the machine model's predicted shares (for an
 // out-of-order CPU at the serial-baseline level). Absolute times differ by
 // hardware; the operation-mix fractions must agree if the per-pattern cost
-// signatures are honest.
+// signatures are honest. Both columns come from the continuous profiler's
+// per-node slots of a serial SwModel: the measured seconds it recorded, and
+// the per-call prediction it published times the calls.
 #include <cstdio>
+#include <map>
 
 #include "bench_common.hpp"
 #include "mesh/mesh_cache.hpp"
-#include "sw/profiler.hpp"
+#include "obs/profiling/perf_profiler.hpp"
 #include "sw/testcases.hpp"
 #include "util/config.hpp"
 
@@ -29,29 +32,51 @@ int main(int argc, char** argv) {
       "mesh %s (%d cells), %d steps, irregular (original) loops, 1 thread\n\n",
       mesh->resolution_label().c_str(), mesh->num_cells, steps);
 
-  sw::StepProfiler profiler(*mesh, params, sw::LoopVariant::Irregular);
-  sw::apply_initial_conditions(*tc, *mesh, profiler.fields());
-  profiler.run(steps);
+  sw::SwModel model(*mesh, params);
+  const sw::SwGraphs& g = model.graphs();
+  model.set_schedules(core::make_serial_baseline_schedule(g.setup),
+                      core::make_serial_baseline_schedule(g.early),
+                      core::make_serial_baseline_schedule(g.final));
+  auto& profiler = obs::profiling::PerfProfiler::global();
+  profiler.set_enabled(true);
+  core::SimOptions sim{machine::paper_platform()};
+  sim.host_opt = machine::OptLevel::SerialBaseline;
+  model.publish_predictions(sim);
+  sw::apply_initial_conditions(*tc, *mesh, model.fields());
+  model.initialize();
+  profiler.reset();  // measure the steps only
+  model.run(steps);
 
-  const auto predicted = sw::predicted_kernel_shares(
-      machine::xeon_e5_2680v2(), machine::OptLevel::SerialBaseline,
-      mesh->num_cells);
+  // Per kernel group, summed over its nodes' slots.
+  struct Seconds {
+    Real measured = 0;
+    Real modeled = 0;
+  };
+  std::map<std::string, Seconds> groups;
+  Seconds total;
+  for (const auto& e : profiler.to_profile("serial", 1, level).entries) {
+    Seconds& s = groups[e.key.kernel];
+    const Real modeled = e.predicted_s_per_call * static_cast<Real>(e.calls);
+    s.measured += e.total_s;
+    s.modeled += modeled;
+    total.measured += e.total_s;
+    total.modeled += modeled;
+  }
 
   Table t({"kernel", "measured s", "measured share", "model share", "delta"});
   Real worst = 0;
-  for (const auto& share : profiler.shares()) {
-    const auto it = predicted.find(share.kernel);
-    const Real model = it == predicted.end() ? 0 : it->second;
-    worst = std::max(worst, std::abs(model - share.measured_share));
-    bench::add_info(share.kernel + "_model_share", model, "ratio");
-    bench::report().add_samples(share.kernel + "_measured_seconds",
-                                {share.measured_seconds}, "s",
-                                bench_harness::SeriesKind::Measured,
+  for (const auto& [kernel, s] : groups) {
+    const Real measured = s.measured / total.measured;
+    const Real model_share = s.modeled / total.modeled;
+    worst = std::max(worst, std::abs(model_share - measured));
+    bench::add_info(kernel + "_model_share", model_share, "ratio");
+    bench::report().add_samples(kernel + "_measured_seconds", {s.measured},
+                                "s", bench_harness::SeriesKind::Measured,
                                 bench_harness::Direction::LowerIsBetter);
-    t.add_row({share.kernel, Table::num(share.measured_seconds, 3),
-               Table::fixed(share.measured_share * 100, 1) + "%",
-               Table::fixed(model * 100, 1) + "%",
-               Table::fixed((model - share.measured_share) * 100, 1) + "pp"});
+    t.add_row({kernel, Table::num(s.measured, 3),
+               Table::fixed(measured * 100, 1) + "%",
+               Table::fixed(model_share * 100, 1) + "%",
+               Table::fixed((model_share - measured) * 100, 1) + "pp"});
   }
   bench::emit(t, "model_validation");
   bench::add_info("worst_share_deviation", worst, "ratio");

@@ -23,7 +23,8 @@
 // log: round-trips it through the parser (byte-exact, exit 2 on any
 // mismatch), prints the measured-vs-modeled share table per profiled
 // slot, and with max_drift= exits 1 when the worst share-normalized
-// divergence (max(ratio, 1/ratio), machine-scale-free) exceeds it.
+// divergence (max(ratio, 1/ratio), machine-scale-free) exceeds it, or
+// when no profiled slot carries a prediction to compare against.
 //
 // Recovery mode folds a durability journal (MPAS_CHECKPOINT_DIR/
 // journal.jsonl) with the same replay the service boots from — torn
@@ -174,6 +175,17 @@ int main(int argc, char** argv) {
     std::cout << "worst share drift: " << worst << "\n";
     if (cfg.has("max_drift")) {
       const double max_drift = cfg.get_real("max_drift", 2.0);
+      // Fail closed: with no predicted slot the gate would compare nothing.
+      const bool predicted = std::any_of(
+          profile.entries.begin(), profile.entries.end(),
+          [](const profiling::ProfileEntry& e) {
+            return e.calls > 0 && e.predicted_s_per_call > 0;
+          });
+      if (!predicted) {
+        std::cerr << "DRIFT: no profiled slot carries a prediction, so "
+                     "max_drift has nothing to check\n";
+        return 1;
+      }
       if (worst > max_drift) {
         std::cerr << "DRIFT: worst share divergence " << worst
                   << " > max_drift " << max_drift << "\n";

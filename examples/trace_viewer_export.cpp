@@ -1,11 +1,12 @@
-// One trace, every layer: runs a measured RK-4 profile (serial kernels),
-// a pool-parallel model step (worker lanes), offload transfers with an
-// injected retry, a 2-rank resilient distributed run with a seeded message
-// drop (halo spans + retransmit instants), and the *modeled* pattern-driven
-// schedule — all into a single Chrome-trace JSON. Load it in
-// https://ui.perfetto.dev (or chrome://tracing): track 0 is the measured
-// process, the "modeled:" track overlays the predicted timeline with
-// host/accel/pcie/network lanes. Finishes with the metrics registry dump.
+// One trace, every layer: runs a profiled serial model (a kernel:* span
+// per pattern node), a pool-parallel model step (worker lanes), offload
+// transfers with an injected retry, a 2-rank resilient distributed run
+// with a seeded message drop (halo spans + retransmit instants), and the
+// *modeled* pattern-driven schedule — all into a single Chrome-trace
+// JSON. Load it in https://ui.perfetto.dev (or chrome://tracing): track 0
+// is the measured process, the "modeled:" track overlays the predicted
+// timeline with host/accel/pcie/network lanes. Finishes with the metrics
+// registry dump.
 //
 // Run:  ./trace_viewer_export [trace=trace.json] [profile=profile.json]
 //       [level=3] [steps=2]
@@ -22,7 +23,6 @@
 #include "obs/profiling/profile_trace.hpp"
 #include "obs/trace.hpp"
 #include "sw/model.hpp"
-#include "sw/profiler.hpp"
 #include "util/config.hpp"
 
 using namespace mpas;
@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
   obs::start_trace_file(trace_path);
   // Continuous profiler alongside the trace: MPAS_PROFILE wins, profile=
   // is the fallback so the demo always produces both artifacts. Must be
-  // armed before the StepProfiler below resolves its slots, so the
-  // machine model's per-kernel predictions get attached.
+  // armed before the serial model below publishes the machine model's
+  // per-node predictions (a no-op while the profiler is off).
   const std::string profile_path = obs::profiling::env_profile_path().value_or(
       cfg.get_string("profile", "profile.json"));
   obs::profiling::start_profile_file(profile_path);
@@ -52,11 +52,13 @@ int main(int argc, char** argv) {
   std::printf("tracing to '%s' (mesh %s, %d cells)\n\n", trace_path.c_str(),
               mesh->resolution_label().c_str(), mesh->num_cells);
 
-  // -- measured: serial per-kernel profile ---------------------------------
+  // -- measured: serial per-node profile -----------------------------------
   {
-    sw::StepProfiler profiler(*mesh, params, sw::LoopVariant::BranchFree);
-    sw::apply_initial_conditions(*tc, *mesh, profiler.fields());
-    profiler.run(steps);
+    sw::SwModel model(*mesh, params);
+    model.publish_predictions(core::SimOptions{machine::paper_platform()});
+    sw::apply_initial_conditions(*tc, *mesh, model.fields());
+    model.initialize();
+    model.run(steps);
     std::printf("profiled %d serial RK-4 steps (kernel:* spans)\n", steps);
   }
 

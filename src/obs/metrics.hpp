@@ -4,7 +4,7 @@
 //
 // Counters/gauges are registered once (pointer-stable; a hot path resolves
 // its Counter* in a constructor and bumps an atomic per event — no map
-// lookup per call, mirroring TimingStats::SectionHandle). Histograms use 64
+// lookup per call, mirroring profiling::ProfileHandle). Histograms use 64
 // base-2 buckets so recording is an ilogb + one atomic increment, and two
 // histograms are always mergeable bucket-by-bucket.
 #pragma once

@@ -78,6 +78,8 @@ ProfileScope::ProfileScope(PerfProfiler& profiler,
                            const ProfileHandle& handle) {
   if (!profiler.enabled() || !handle.valid()) return;
   slot_ = handle.slot_;
+  TraceRecorder& tracer = TraceRecorder::global();
+  if (tracer.enabled()) tracer_ = &tracer;
   const std::uint32_t every = profiler.sample_every();
   if (every != 0 && HwCounterGroup::available() &&
       slot_->calls.load(std::memory_order_relaxed) % every == 0) {
@@ -92,6 +94,10 @@ ProfileScope::~ProfileScope() {
   const double elapsed = monotonic_seconds() - start_s_;
   if (sampling_) slot_->add_counters(thread_counters().stop());
   slot_->record(elapsed);
+  // The tracer's now_us() is monotonic_seconds() * 1e6, so the span lines
+  // up with every other span on the measured track.
+  if (tracer_ != nullptr)
+    tracer_->complete(slot_->span_name, start_s_ * 1e6, elapsed * 1e6);
 }
 
 // ---- PerfProfiler ---------------------------------------------------------
@@ -102,6 +108,8 @@ ProfileHandle::Slot* PerfProfiler::find_or_create(const ProfileKey& key) {
   if (!slot) {
     slot = std::make_unique<ProfileHandle::Slot>();
     slot->key = key;
+    slot->span_name =
+        "kernel:" + key.kernel + "/" + key.pattern + "@" + key.device;
   }
   return slot.get();
 }

@@ -2,10 +2,14 @@
 // kernel, device, mesh-level) kernel costs — the measured counterpart of
 // everything the machine model predicts.
 //
-// Design rules, in the TimingStats::SectionHandle / Counter* idiom:
+// Design rules, in the MetricsRegistry Counter* idiom:
 //   * hot paths pre-resolve a ProfileHandle once (one registry mutex
 //     acquisition), then every ProfileScope costs two clock reads plus a
 //     handful of relaxed atomics — no map lookup, no string formatting;
+//   * ProfileScope is the one timing scope: when the global TraceRecorder
+//     is also on, it records its region as a complete span named after
+//     the slot ("kernel:<kernel>/<pattern>@<device>", built once when the
+//     slot is created), from the same two clock reads;
 //   * disabled (the default without MPAS_PROFILE) the entire per-scope
 //     cost is one relaxed atomic load, the same discipline the tracer and
 //     event log follow; the <2% steady-state budget is asserted by
@@ -38,6 +42,10 @@
 #include "util/lock_ranks.hpp"
 #include "util/mutex.hpp"
 #include "util/timer.hpp"
+
+namespace mpas::obs {
+class TraceRecorder;
+}
 
 namespace mpas::obs::profiling {
 
@@ -120,6 +128,7 @@ class PerfProfiler {
 /// slot map's structure).
 struct ProfileHandle::Slot {
   ProfileKey key;
+  std::string span_name;  // trace span name, fixed when the slot is made
   Histogram micros;  // per-call duration in microseconds
   std::atomic<std::uint64_t> calls{0};
   std::atomic<double> total_s{0};
@@ -140,7 +149,8 @@ struct ProfileHandle::Slot {
 /// RAII measurement of one region against a pre-resolved handle. With the
 /// profiler disabled construction is one relaxed load; enabled, it is a
 /// steady-clock read at each end plus the slot's atomic accumulation, and
-/// on sampled calls a hardware-counter bracket.
+/// on sampled calls a hardware-counter bracket. With the global tracer
+/// also enabled, the region is recorded as a span named after the slot.
 class ProfileScope {
  public:
   ProfileScope(PerfProfiler& profiler, const ProfileHandle& handle);
@@ -153,6 +163,7 @@ class ProfileScope {
 
  private:
   ProfileHandle::Slot* slot_ = nullptr;
+  TraceRecorder* tracer_ = nullptr;  // non-null: also record a span
   bool sampling_ = false;
   double start_s_ = 0;
 };

@@ -25,10 +25,12 @@
 
 namespace mpas::obs::profiling {
 
-/// Identity of one profiled code region. `pattern` is the node label
-/// ("A2", "X3") or kernel-section name for the serial profiler; `kernel`
-/// the Algorithm-1 kernel function group; `device` "host" / "accel" /
-/// "serial"; `mesh_level` the subdivision level (-1 when unknown).
+/// Identity of one profiled code region. `pattern` is the data-flow node
+/// label ("A2", "X3"); `kernel` the Algorithm-1 kernel function group;
+/// `device` "host" / "accel", the side the schedule ran that part of the
+/// node on; `mesh_level` the subdivision level (-1 when unknown). Every
+/// SwModel on the same mesh level (serial, pooled, or one rank of a
+/// distributed run) records into the same slot per key.
 struct ProfileKey {
   std::string pattern;
   std::string kernel;

@@ -7,7 +7,7 @@
 // total) because predictions price Table-II hardware while measurements
 // come from the build machine: absolute ratios carry the machine-speed
 // difference, shares isolate the operation-mix disagreement — the same
-// philosophy as StepProfiler::shares().
+// comparison bench/model_validation makes per kernel group.
 #pragma once
 
 #include <string>

@@ -209,7 +209,7 @@ std::string trace_arg(const char* key, const char* value);
 #define MPAS_OBS_CONCAT_IMPL(a, b) a##b
 #define MPAS_OBS_CONCAT(a, b) MPAS_OBS_CONCAT_IMPL(a, b)
 
-/// Scoped span on the global recorder: MPAS_TRACE_SCOPE("kernel:tend_u").
+/// Scoped span on the global recorder: MPAS_TRACE_SCOPE("distributed:step").
 /// `name` may be a literal or a std::string expression; a std::string is
 /// only constructed after the enabled check when passed as a literal.
 #define MPAS_TRACE_SCOPE(name)                              \

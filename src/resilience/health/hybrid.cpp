@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/lock_order.hpp"
-#include "obs/profiling/perf_profiler.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -93,7 +92,7 @@ void SelfHealingHybrid::swap_in(ReplanResult plans[3],
   // frozen baseline is stale; relearn under the new plan.
   drift_.reset_all();
   wall_seen_ = 0;
-  publish_node_predictions();
+  model_.publish_predictions(opts_.sim);
   avail_ = avail;
   pending_valid_ = false;
   replans_ += 1;
@@ -106,46 +105,6 @@ void SelfHealingHybrid::swap_in(ReplanResult plans[3],
   obs::MetricsRegistry::global()
       .counter(opts_.metric_scope + "resilience.health.replans")
       .add(1);
-}
-
-void SelfHealingHybrid::publish_node_predictions() const {
-  obs::profiling::PerfProfiler& profiler =
-      obs::profiling::PerfProfiler::global();
-  if (!profiler.enabled()) return;
-  const core::MeshSizes sizes{mesh_.num_cells, mesh_.num_edges,
-                              mesh_.num_vertices};
-  const auto& graphs = model_.graphs();
-  const core::DataflowGraph* g[3] = {&graphs.setup, &graphs.early,
-                                     &graphs.final};
-  for (int i = 0; i < 3; ++i) {
-    const core::Schedule& schedule = current_[i].schedule;
-    for (const core::PatternNode& node : g[i]->nodes()) {
-      const std::int64_t n = sizes.at(node.iterates);
-      const core::Assignment& asg =
-          schedule.assignments[static_cast<std::size_t>(node.id)];
-      // Predict per call on the side(s) the plan actually runs the node
-      // on, over the entity range each side covers (the same split the
-      // SwModel profiling scopes measure).
-      const Real host_frac = asg.side == core::DeviceSide::Host ? 1.0
-                             : asg.side == core::DeviceSide::Accel
-                                 ? 0.0
-                                 : asg.host_fraction;
-      const auto nh = static_cast<std::int64_t>(
-          std::llround(host_frac * static_cast<double>(n)));
-      if (nh > 0)
-        profiler.set_prediction(
-            {node.label, core::to_string(node.kernel), "host",
-             mesh_.subdivision_level},
-            core::node_time(node, core::DeviceSide::Host, nh, schedule,
-                            opts_.sim));
-      if (n - nh > 0)
-        profiler.set_prediction(
-            {node.label, core::to_string(node.kernel), "accel",
-             mesh_.subdivision_level},
-            core::node_time(node, core::DeviceSide::Accel, n - nh, schedule,
-                            opts_.sim));
-    }
-  }
 }
 
 DeviceAvailability SelfHealingHybrid::current_availability() const {

@@ -9,8 +9,9 @@
 //             analysis verifier;
 //   actuation the validated plan is swapped in at the next step boundary
 //             (pool drained, device residency invalidated when the
-//             accelerator is quarantined), and probation probes go out on
-//             the real offload link when the monitor's backoff elapses.
+//             accelerator is quarantined, the model's per-node predictions
+//             republished to the profiler), and probation probes go out
+//             on the real offload link when the monitor's backoff elapses.
 //
 // The numerics are schedule-invariant by construction (SwModel reproduces
 // the reference integrator bit for bit under any dependency-respecting
@@ -108,10 +109,6 @@ class SelfHealingHybrid {
   void swap_in(ReplanResult plans[3], const DeviceAvailability& avail);
   void offload_step_traffic();
   [[nodiscard]] bool plan_uses_accel() const;
-  /// Attach the current plan's modeled per-node costs to the continuous
-  /// profiler (so the MPAS_PROFILE artifact carries measured *and*
-  /// predicted columns). No-op while the profiler is disabled.
-  void publish_node_predictions() const;
 
   const mesh::VoronoiMesh& mesh_;
   Options opts_;

@@ -1,6 +1,7 @@
 #include "sw/model.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "obs/metrics.hpp"
 #include "partition/halo.hpp"
@@ -17,6 +18,21 @@ const char* fname(FieldId id) { return field_info(id).name; }
 
 LoopVariant to_loop_variant(core::VariantChoice v) {
   return static_cast<LoopVariant>(static_cast<int>(v));
+}
+
+/// How many of a node's `n` entities `asg` runs on the host; the rest run
+/// on the accelerator.
+Index host_entities(Index n, const core::Assignment& asg) {
+  switch (asg.side) {
+    case core::DeviceSide::Host:
+      return n;
+    case core::DeviceSide::Accel:
+      return 0;
+    case core::DeviceSide::Split:
+      break;
+  }
+  return static_cast<Index>(
+      std::llround(static_cast<double>(n) * asg.host_fraction));
 }
 
 /// Node factory bound to one graph, keeping labels/kinds/costs in one place.
@@ -478,6 +494,36 @@ void SwModel::set_schedules(core::Schedule setup, core::Schedule early,
   sched_final_ = std::move(final);
 }
 
+void SwModel::publish_predictions(const core::SimOptions& sim) const {
+  obs::profiling::PerfProfiler& profiler =
+      obs::profiling::PerfProfiler::global();
+  if (!profiler.enabled()) return;
+  const std::pair<const core::DataflowGraph*, const core::Schedule*> plans[] =
+      {{&graphs_.setup, &sched_setup_},
+       {&graphs_.early, &sched_early_},
+       {&graphs_.final, &sched_final_}};
+  for (const auto& [graph, schedule] : plans) {
+    for (const core::PatternNode& node : graph->nodes()) {
+      // Predict per call on the side(s) the schedule runs the node on, over
+      // the entity range each side covers in execute_run.
+      const Index n = extent_end(node, fields_, local_);
+      const core::Assignment& asg =
+          schedule->assignments[static_cast<std::size_t>(node.id)];
+      const Index nh = host_entities(n, asg);
+      const std::string kernel = core::to_string(node.kernel);
+      if (nh > 0)
+        profiler.set_prediction(
+            {node.label, kernel, "host", mesh_.subdivision_level},
+            core::node_time(node, core::DeviceSide::Host, nh, *schedule, sim));
+      if (n - nh > 0)
+        profiler.set_prediction(
+            {node.label, kernel, "accel", mesh_.subdivision_level},
+            core::node_time(node, core::DeviceSide::Accel, n - nh, *schedule,
+                            sim));
+    }
+  }
+}
+
 SwModel::NodeProfiles& SwModel::node_profiles(
     const core::DataflowGraph& graph) {
   NodeProfiles& np = &graph == &graphs_.setup   ? profiles_setup_
@@ -581,8 +627,7 @@ void SwModel::execute_run(const Run& run) {
         break;
       }
       case core::DeviceSide::Split: {
-        const Index nh = static_cast<Index>(
-            std::llround(static_cast<double>(n) * asg.host_fraction));
+        const Index nh = host_entities(n, asg);
         {
           obs::profiling::ProfileScope prof(
               profiler, np ? np->host[uid] : kInertHandle);

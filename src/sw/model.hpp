@@ -73,6 +73,13 @@ class SwModel {
   void set_schedules(core::Schedule setup, core::Schedule early,
                      core::Schedule final);
 
+  /// Attach the machine model's per-call cost of every node under the
+  /// current schedules to the continuous profiler's slots (the ones the
+  /// steps record into), so a profile carries measured and predicted
+  /// columns. Call again after set_schedules(). No-op while the global
+  /// profiler is disabled.
+  void publish_predictions(const core::SimOptions& sim) const;
+
   /// Optional thread pool for data-parallel node execution.
   void set_pool(exec::ThreadPool* pool) { pool_ = pool; }
 

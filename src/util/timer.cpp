@@ -1,9 +1,6 @@
 #include "util/timer.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <iomanip>
-#include <sstream>
 
 namespace mpas {
 
@@ -27,77 +24,6 @@ int thread_short_id() {
   static std::atomic<int> next{0};
   thread_local const int id = next.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-void TimingStats::accumulate_locked(Entry& e, double seconds) {
-  if (e.count == 0) {
-    e.min = seconds;
-    e.max = seconds;
-  } else {
-    e.min = std::min(e.min, seconds);
-    e.max = std::max(e.max, seconds);
-  }
-  e.count += 1;
-  e.total += seconds;
-}
-
-TimingStats::SectionHandle TimingStats::handle(const std::string& section) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // std::map nodes are address-stable, so the handle survives later inserts.
-  return SectionHandle(&entries_[section]);
-}
-
-void TimingStats::add(const std::string& section, double seconds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  accumulate_locked(entries_[section], seconds);
-}
-
-void TimingStats::add(SectionHandle handle, double seconds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  accumulate_locked(*handle.entry_, seconds);
-}
-
-TimingStats::Entry TimingStats::get(const std::string& section) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(section);
-  return it == entries_.end() ? Entry{} : it->second;
-}
-
-bool TimingStats::contains(const std::string& section) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.count(section) != 0;
-}
-
-std::map<std::string, TimingStats::Entry> TimingStats::entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_;
-}
-
-void TimingStats::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Handles resolved before clear() stay valid: entries are zeroed in
-  // place, never erased.
-  for (auto& [name, e] : entries_) e = Entry{};
-}
-
-std::string TimingStats::report() const {
-  const auto snapshot = entries();
-  std::vector<std::pair<std::string, Entry>> rows(snapshot.begin(),
-                                                  snapshot.end());
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return a.second.total > b.second.total;
-  });
-  std::ostringstream os;
-  os << std::left << std::setw(36) << "section" << std::right << std::setw(10)
-     << "count" << std::setw(14) << "total(s)" << std::setw(14) << "mean(s)"
-     << std::setw(14) << "max(s)" << "\n";
-  for (const auto& [name, e] : rows) {
-    os << std::left << std::setw(36) << name << std::right << std::setw(10)
-       << e.count << std::setw(14) << std::scientific << std::setprecision(3)
-       << e.total << std::setw(14) << e.mean() << std::setw(14) << e.max
-       << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace mpas

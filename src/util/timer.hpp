@@ -1,15 +1,10 @@
-// Wall-clock timing plus a named-section statistics accumulator.
-//
-// Real (measured) times are used for the functional runs; the performance
-// figures of the paper are regenerated from the machine model (see
-// src/machine). Keeping both lets EXPERIMENTS.md report measured-vs-modeled.
+// Wall-clock primitives: the process-wide monotonic clock, short thread
+// ids, and a stopwatch. Named, accumulated timings live in
+// obs::profiling::PerfProfiler (per-kernel slots, and trace spans when the
+// tracer is on); this header only reads the clock.
 #pragma once
 
 #include <chrono>
-#include <map>
-#include <mutex>
-#include <string>
-#include <vector>
 
 namespace mpas {
 
@@ -37,85 +32,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates per-section timing statistics (count / total / min / max).
-/// Thread-safe: add() may be called concurrently from pool workers (the
-/// StepProfiler paths do). Hot paths should pre-resolve a SectionHandle
-/// once and add through it, skipping the per-call name lookup.
-class TimingStats {
- public:
-  struct Entry {
-    std::size_t count = 0;
-    double total = 0;
-    double min = 0;
-    double max = 0;
-    [[nodiscard]] double mean() const { return count ? total / count : 0; }
-  };
-
-  /// Pre-resolved section: holds a stable pointer to the entry, so add()
-  /// through it costs one lock + four arithmetic ops, no map lookup.
-  class SectionHandle {
-   public:
-    SectionHandle() = default;
-    [[nodiscard]] bool valid() const { return entry_ != nullptr; }
-
-   private:
-    friend class TimingStats;
-    explicit SectionHandle(Entry* entry) : entry_(entry) {}
-    Entry* entry_ = nullptr;
-  };
-
-  /// Resolve (creating if absent) the section once, up front.
-  [[nodiscard]] SectionHandle handle(const std::string& section);
-
-  void add(const std::string& section, double seconds);
-  void add(SectionHandle handle, double seconds);
-
-  /// Snapshot of one section (copy; nullopt-style via found flag avoided —
-  /// returns a default Entry with count 0 when the section is unknown).
-  [[nodiscard]] Entry get(const std::string& section) const;
-
-  /// True if the section has been recorded at least once.
-  [[nodiscard]] bool contains(const std::string& section) const;
-
-  /// Snapshot of every section (copy, so callers iterate race-free).
-  [[nodiscard]] std::map<std::string, Entry> entries() const;
-
-  void clear();
-
-  /// Render a human-readable report, sections sorted by total time.
-  [[nodiscard]] std::string report() const;
-
- private:
-  void accumulate_locked(Entry& e, double seconds);
-
-  mutable std::mutex mutex_;
-  std::map<std::string, Entry> entries_;
-};
-
-/// RAII section timer: adds the elapsed time to a TimingStats on destruction.
-class ScopedTimer {
- public:
-  ScopedTimer(TimingStats& stats, std::string section)
-      : stats_(stats), section_(std::move(section)) {}
-  ScopedTimer(TimingStats& stats, TimingStats::SectionHandle handle)
-      : stats_(stats), handle_(handle) {}
-  ~ScopedTimer() {
-    if (handle_.valid())
-      stats_.add(handle_, timer_.seconds());
-    else
-      stats_.add(section_, timer_.seconds());
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  TimingStats& stats_;
-  std::string section_;
-  TimingStats::SectionHandle handle_;
-  WallTimer timer_;
 };
 
 }  // namespace mpas

@@ -14,6 +14,7 @@
 #include "comm/distributed.hpp"
 #include "mesh/mesh_cache.hpp"
 #include "obs/profiling/perf_profiler.hpp"
+#include "obs/trace.hpp"
 #include "sw/invariants.hpp"
 #include "sw/reference.hpp"
 
@@ -145,9 +146,19 @@ TEST(DistributedSweep, EveryAxisValueAppears) {
         count([&](const SweepConfig& c) { return c.halo_layers == halo; }), 0);
 }
 
+/// Number of `events` that are complete spans named `name`.
+std::size_t count_spans(const std::vector<obs::TraceEvent>& events,
+                        const std::string& name) {
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(), [&](const auto& e) {
+        return e.kind == obs::TraceEvent::Kind::Complete && e.name == name;
+      }));
+}
+
 // Rank work runs through SwModel's executor, so a profiled distributed run
 // fills one host slot per (pattern, kernel), resolved and recorded from
-// concurrent rank-pool workers (the TSan job runs this test).
+// concurrent rank-pool workers (the TSan job runs this test). With the
+// tracer on too, every recorded call is also one node span.
 TEST(DistributedSw, ProfiledRunCountsEveryNodeOnEveryRank) {
   using obs::profiling::PerfProfiler;
   const auto mesh = mesh::get_global_mesh(3);
@@ -164,6 +175,10 @@ TEST(DistributedSw, ProfiledRunCountsEveryNodeOnEveryRank) {
   const std::uint32_t sample_every = profiler.sample_every();
   profiler.reset();
   profiler.set_sample_every(0);
+  obs::TraceRecorder& tracer = obs::TraceRecorder::global();
+  const bool tracing = tracer.enabled();
+  tracer.clear();
+  tracer.set_enabled(true);
   profiler.set_enabled(true);
   {
     DistributedSw dist(*mesh, kRanks, params);
@@ -172,6 +187,9 @@ TEST(DistributedSw, ProfiledRunCountsEveryNodeOnEveryRank) {
     dist.run(kSteps);
   }
   profiler.set_enabled(false);
+  tracer.set_enabled(tracing);
+  const std::vector<obs::TraceEvent> events = tracer.snapshot();
+  tracer.clear();
 
   // A step runs the setup and final graphs once and the early graph three
   // times; initialize() runs the final graph's diagnostics and
@@ -195,9 +213,43 @@ TEST(DistributedSw, ProfiledRunCountsEveryNodeOnEveryRank) {
     const auto handle = profiler.handle(
         {key.first, key.second, "host", mesh->subdivision_level});
     EXPECT_EQ(profiler.calls(handle), calls) << key.first << " " << key.second;
+    EXPECT_EQ(count_spans(events, "kernel:" + key.second + "/" + key.first +
+                                      "@host"),
+              calls)
+        << key.first << " " << key.second;
   }
   profiler.reset();
   profiler.set_sample_every(sample_every);
+}
+
+// Node spans come from the profiler's scopes: tracing alone records none,
+// so traces of unprofiled runs keep their size.
+TEST(DistributedSw, TracedRunWithoutProfilingRecordsNoNodeSpans) {
+  const auto mesh = mesh::get_global_mesh(2);
+  const auto tc = sw::make_test_case(5);
+  sw::SwParams params;
+  params.dt = sw::suggested_time_step(*tc, *mesh, 0.4);
+  obs::profiling::PerfProfiler& profiler =
+      obs::profiling::PerfProfiler::global();
+  const bool profiling = profiler.enabled();
+  profiler.set_enabled(false);
+  obs::TraceRecorder& tracer = obs::TraceRecorder::global();
+  const bool tracing = tracer.enabled();
+  tracer.clear();
+  tracer.set_enabled(true);
+  {
+    DistributedSw dist(*mesh, 2, params);
+    dist.apply_test_case(*tc);
+    dist.initialize();
+    dist.run(1);
+  }
+  tracer.set_enabled(tracing);
+  profiler.set_enabled(profiling);
+  const std::vector<obs::TraceEvent> events = tracer.snapshot();
+  tracer.clear();
+  EXPECT_FALSE(events.empty());  // the rank driver's own spans
+  for (const obs::TraceEvent& e : events)
+    EXPECT_NE(e.name.rfind("kernel:", 0), 0u) << e.name;
 }
 
 TEST(SimWorld, FifoMatchingByEndpointAndTag) {

@@ -40,7 +40,6 @@
 #include "service/session.hpp"
 #include "service/session_manager.hpp"
 #include "sw/model.hpp"
-#include "sw/profiler.hpp"
 #include "sw/state_codec.hpp"
 #include "sw/testcases.hpp"
 #include "util/error.hpp"
@@ -858,17 +857,17 @@ TEST_F(ServiceRecovery, SigkilledSoakRecoversBitwiseWithFlightDump) {
 // ---------------------------------------------------------- overhead budget
 
 TEST(DurableOverhead, BackgroundCheckpointingStaysUnderTwoPercentOfAStep) {
-  // A real measured step on the level-3 mesh for scale (the PR-2/PR-7
-  // budget-test idiom).
+  // A real serial SwModel step on the level-3 mesh for scale.
   const auto mesh = mesh::get_global_mesh(3);
   const auto tc = sw::make_test_case(5);
   sw::SwParams params;
   params.dt = sw::suggested_time_step(*tc, *mesh, 0.4);
-  sw::StepProfiler profiler(*mesh, params, sw::LoopVariant::BranchFree);
-  sw::apply_initial_conditions(*tc, *mesh, profiler.fields());
+  sw::SwModel model(*mesh, params);
+  sw::apply_initial_conditions(*tc, *mesh, model.fields());
+  model.initialize();
   constexpr int kSteps = 3;
   WallTimer step_timer;
-  profiler.run(kSteps);
+  model.run(kSteps);
   const double per_step = step_timer.seconds() / kSteps;
 
   // Integrator-side durable cost at the default cadence (every=10),
@@ -884,7 +883,7 @@ TEST(DurableOverhead, BackgroundCheckpointingStaysUnderTwoPercentOfAStep) {
                            "t", nullptr, nullptr);
   constexpr int kCalls = 200;
   WallTimer durable_timer;
-  for (int i = 1; i <= kCalls; ++i) ckpt.on_step(i, profiler.fields());
+  for (int i = 1; i <= kCalls; ++i) ckpt.on_step(i, model.fields());
   const double per_step_durable = durable_timer.seconds() / kCalls;
   ASSERT_TRUE(ckpt.flush());
 
@@ -896,7 +895,7 @@ TEST(DurableOverhead, BackgroundCheckpointingStaysUnderTwoPercentOfAStep) {
   WallTimer off_timer;
   constexpr int kOffProbes = 100000;
   for (int i = 0; i < kOffProbes; ++i)
-    ckpt.on_step(10 * static_cast<std::int64_t>(i) + 3, profiler.fields());
+    ckpt.on_step(10 * static_cast<std::int64_t>(i) + 3, model.fields());
   const double per_off = off_timer.seconds() / kOffProbes;
   EXPECT_LT(per_off, 0.001 * per_step);
 }

@@ -24,7 +24,7 @@
 #include "obs/trace_export.hpp"
 #include "service/session_manager.hpp"
 #include "sw/model.hpp"
-#include "sw/profiler.hpp"
+#include "sw/testcases.hpp"
 #include "util/timer.hpp"
 
 namespace mpas::obs {
@@ -503,21 +503,23 @@ TEST(TraceOverhead, DisabledTracingStaysUnderTwoPercentOfAStep) {
   }
   const double per_span = probe_timer.seconds() / kProbes;
 
-  // A real profiled step on the level-3 mesh for scale.
+  // A real serial SwModel step on the level-3 mesh for scale.
   const auto mesh = mesh::get_global_mesh(3);
   const auto tc = sw::make_test_case(5);
   sw::SwParams params;
   params.dt = sw::suggested_time_step(*tc, *mesh, 0.4);
-  sw::StepProfiler profiler(*mesh, params, sw::LoopVariant::BranchFree);
-  sw::apply_initial_conditions(*tc, *mesh, profiler.fields());
+  sw::SwModel model(*mesh, params);
+  sw::apply_initial_conditions(*tc, *mesh, model.fields());
+  model.initialize();
   constexpr int kSteps = 3;
   WallTimer step_timer;
-  profiler.run(kSteps);
+  model.run(kSteps);
   const double per_step = step_timer.seconds() / kSteps;
 
-  // The step loop arms ~30 spans per RK-4 step (7 kernel sections x 4
-  // substeps would be the ceiling); budget 100 to be generous. Disabled
-  // tracing must cost well under 2% of the measured step time.
+  // A default step runs 66 nodes (4 setup, 3 x 15 early, 17 final), each
+  // a span when profiling and tracing are both on; budget 100 to be
+  // generous. Disabled tracing must cost well under 2% of the measured
+  // step time.
   const double overhead = 100.0 * per_span;
   EXPECT_LT(overhead, 0.02 * per_step)
       << "per_span=" << per_span << "s per_step=" << per_step << "s";

@@ -17,7 +17,6 @@
 #include "obs/telemetry/flight_recorder.hpp"
 #include "obs/telemetry/slo.hpp"
 #include "sw/model.hpp"
-#include "sw/profiler.hpp"
 #include "sw/testcases.hpp"
 #include "util/timer.hpp"
 
@@ -308,16 +307,17 @@ TEST(TelemetryOverhead, SteadyStateStaysUnderTwoPercentOfAStep) {
   const double per_probe = probe_timer.seconds() / kProbes;
   EXPECT_EQ(armed, 0u);
 
-  // A real profiled step on the level-3 mesh for scale.
+  // A real serial SwModel step on the level-3 mesh for scale.
   const auto mesh = mesh::get_global_mesh(3);
   const auto tc = sw::make_test_case(5);
   sw::SwParams params;
   params.dt = sw::suggested_time_step(*tc, *mesh, 0.4);
-  sw::StepProfiler profiler(*mesh, params, sw::LoopVariant::BranchFree);
-  sw::apply_initial_conditions(*tc, *mesh, profiler.fields());
+  sw::SwModel model(*mesh, params);
+  sw::apply_initial_conditions(*tc, *mesh, model.fields());
+  model.initialize();
   constexpr int kSteps = 3;
   WallTimer step_timer;
-  profiler.run(kSteps);
+  model.run(kSteps);
   const double per_step = step_timer.seconds() / kSteps;
 
   // A healthy session records at most a handful of flight events per step

@@ -1,10 +1,9 @@
 // Unit tests for the util substrate: aligned storage, 2-D arrays, spherical
-// geometry, config parsing, timing stats, and table rendering.
+// geometry, config parsing, log levels, and table rendering.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "util/aligned_vector.hpp"
@@ -13,7 +12,6 @@
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 #include "util/types.hpp"
 #include "util/vec3.hpp"
 
@@ -133,53 +131,6 @@ TEST(Config, RejectsMalformedNumbers) {
   EXPECT_THROW(static_cast<void>(cfg.get_int("n", 0)), Error);
   cfg.set("b", "maybe");
   EXPECT_THROW(static_cast<void>(cfg.get_bool("b", false)), Error);
-}
-
-TEST(TimingStats, AccumulatesMinMeanMax) {
-  TimingStats stats;
-  stats.add("step", 1.0);
-  stats.add("step", 3.0);
-  ASSERT_TRUE(stats.contains("step"));
-  const auto e = stats.get("step");
-  EXPECT_EQ(e.count, 2u);
-  EXPECT_DOUBLE_EQ(e.total, 4.0);
-  EXPECT_DOUBLE_EQ(e.min, 1.0);
-  EXPECT_DOUBLE_EQ(e.max, 3.0);
-  EXPECT_DOUBLE_EQ(e.mean(), 2.0);
-  EXPECT_FALSE(stats.contains("absent"));
-  EXPECT_EQ(stats.get("absent").count, 0u);
-}
-
-TEST(TimingStats, HandleSkipsLookupButHitsSameEntry) {
-  TimingStats stats;
-  const auto h = stats.handle("kernel");
-  ASSERT_TRUE(h.valid());
-  stats.add(h, 2.0);
-  stats.add("kernel", 4.0);
-  const auto e = stats.get("kernel");
-  EXPECT_EQ(e.count, 2u);
-  EXPECT_DOUBLE_EQ(e.total, 6.0);
-  EXPECT_FALSE(TimingStats::SectionHandle().valid());
-}
-
-TEST(TimingStats, ConcurrentAddsDoNotLoseSamples) {
-  TimingStats stats;
-  const auto h = stats.handle("hot");
-  constexpr int kThreads = 4;
-  constexpr int kAdds = 2000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&stats, h] {
-      for (int i = 0; i < kAdds; ++i) {
-        stats.add(h, 1.0);
-        stats.add("named", 0.5);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(stats.get("hot").count, std::size_t{kThreads} * kAdds);
-  EXPECT_DOUBLE_EQ(stats.get("hot").total, double(kThreads) * kAdds);
-  EXPECT_EQ(stats.get("named").count, std::size_t{kThreads} * kAdds);
 }
 
 TEST(Logger, ParsesLevelNamesAndNumbers) {
