@@ -4,7 +4,7 @@
 //
 //   on_step_off_cadence_ns  the steady-state per-step tax between
 //                           checkpoints (a modulo and a branch);
-//   snapshot_stage_ns       an on-cadence on_step — prognostic snapshot,
+//   snapshot_stage_ns       an on-cadence on_step — state snapshot,
 //                           state hash, and the latest-wins staging swap
 //                           (everything the integrator thread ever pays;
 //                           the fsyncs happen on the writer thread);
@@ -101,7 +101,9 @@ int main(int argc, char** argv) {
   bench::add_measured("snapshot_stage_ns", stage, "ns");
 
   // Encode: the checksummed serialization, normally writer-thread work.
-  auto image = sw::snapshot_prognostic(model.fields(), 10);
+  durable::CheckpointImage image;
+  image.step = 10;
+  sw::snapshot_state(model.fields(), 0, image);
   image.user_tag = service::state_hash(model.fields());
   const int encode_ops = static_cast<int>(cfg.get_int("encode_ops", 500));
   const auto encode = runner.collect([&] {

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "exec/thread_pool.hpp"
 #include "obs/trace.hpp"
 #include "resilience/channel.hpp"
-#include "resilience/checkpoint.hpp"
+#include "sw/state_codec.hpp"
 #include "util/error.hpp"
 
 namespace mpas::comm {
@@ -82,7 +83,9 @@ struct DistributedSw::Resilience : ResilienceTally {
   ResilienceOptions options;
   SimWorldTransport transport;
   resilience::ResilientChannel channel;
-  resilience::Checkpoint checkpoint;
+  // Every rank's state fields (sw::state_fields()), kept unencoded: the
+  // injector's StateCorrupt flips live state, never this copy.
+  std::optional<resilience::durable::CheckpointImage> checkpoint;
 
   Resilience(SimWorld& world, const ResilienceOptions& opts,
              const ResilienceTally& tally = {})
@@ -279,9 +282,9 @@ void DistributedSw::run_resilient(int steps) {
   while (step_index_ < target) {
     // `rs` dangles after a shrink (the Resilience engine is rebuilt over
     // the new fabric), so the loop body goes through resilience_ directly.
-    if (!resilience_->checkpoint.valid() ||
+    if (!resilience_->checkpoint ||
         (step_index_ % resilience_->options.checkpoint_interval == 0 &&
-         resilience_->checkpoint.step() != step_index_))
+         resilience_->checkpoint->step != step_index_))
       take_checkpoint();
     stall_scratch_.assign(static_cast<std::size_t>(num_ranks()), 0.0);
     step();
@@ -318,37 +321,38 @@ void DistributedSw::run_resilient(int steps) {
 }
 
 void DistributedSw::take_checkpoint() {
-  Resilience& rs = *resilience_;
-  rs.checkpoint.begin(step_index_);
-  for (int r = 0; r < num_ranks(); ++r)
-    for (int f = 0; f < sw::kNumFields; ++f)
-      rs.checkpoint.save(r, f, fields(r).get(static_cast<FieldId>(f)));
-  rs.checkpoint.commit();
+  // Built aside and then moved in: a capture that throws leaves the
+  // previous checkpoint the rollback target.
+  resilience::durable::CheckpointImage image;
+  image.step = step_index_;
+  for (int r = 0; r < num_ranks(); ++r) sw::snapshot_state(fields(r), r, image);
+  resilience_->checkpoint = std::move(image);
 }
 
 void DistributedSw::rollback() {
   Resilience& rs = *resilience_;
-  MPAS_CHECK_MSG(rs.checkpoint.valid(), "rollback without a checkpoint");
+  MPAS_CHECK_MSG(rs.checkpoint, "rollback without a checkpoint");
+  const std::int64_t to_step = rs.checkpoint->step;
   MPAS_TRACE_INSTANT_ARGS(
       "resilience:rollback",
       obs::trace_arg("from_step", static_cast<std::int64_t>(step_index_)) +
-          "," +
-          obs::trace_arg("to_step",
-                         static_cast<std::int64_t>(rs.checkpoint.step())));
+          "," + obs::trace_arg("to_step", to_step));
+  // 1. Every rank's state fields, halos included.
   for (int r = 0; r < num_ranks(); ++r)
-    for (int f = 0; f < sw::kNumFields; ++f)
-      rs.checkpoint.restore(r, f, fields(r).get(static_cast<FieldId>(f)));
+    sw::restore_state(*rs.checkpoint, r, fields(r));
   rs.rollbacks += 1;
-  rs.steps_replayed +=
-      static_cast<std::uint64_t>(step_index_ - rs.checkpoint.step());
-  step_index_ = rs.checkpoint.step();
-  // Halo traffic still in flight belongs to the abandoned timeline: every
-  // envelope queued now is a retransmission duplicate whose sequence the
-  // receivers already consumed (the step's exchanges all completed before
-  // the health check could fail). Discard them so the replay starts from
-  // quiescence — a *live* envelope here would be a protocol bug, and
-  // drain_stale throws on one rather than dropping it.
+  rs.steps_replayed += static_cast<std::uint64_t>(step_index_ - to_step);
+  step_index_ = to_step;
+  // 2. Halo traffic still in flight belongs to the abandoned timeline: every
+  //    envelope queued now is a retransmission duplicate whose sequence the
+  //    receivers already consumed (the step's exchanges all completed
+  //    before the health check could fail). Discard them so the exchange
+  //    below starts from quiescence — a *live* envelope here would be a
+  //    protocol bug, and drain_stale throws on one rather than dropping it.
   drain_stale_messages();
+  // 3. Re-derive the diagnostics and the reconstruction from the restored
+  //    state: the state a completed step leaves, as in shrink_to.
+  initialize();
 }
 
 void DistributedSw::apply_step_faults(std::int64_t step) {
@@ -488,12 +492,11 @@ void DistributedSw::shrink_to(int new_num_ranks) {
           "," +
           obs::trace_arg("to_ranks", static_cast<std::int64_t>(new_num_ranks)));
 
-  // 1. Assemble the state (and topography) by global id from the owners.
-  const std::vector<Real> b = gather_global(FieldId::Bottom);
-  const std::vector<Real> h = gather_global(FieldId::H);
-  const std::vector<Real> u = gather_global(FieldId::U);
-  std::vector<Real> q;
-  if (params_.with_tracer) q = gather_global(FieldId::TracerQ);
+  // 1. Assemble the state fields by global id from the owners.
+  const std::span<const FieldId> state = sw::state_fields();
+  std::vector<std::vector<Real>> global_state;
+  for (const FieldId field : state)
+    global_state.push_back(gather_global(field));
 
   // 2. Rebuild the decomposition and the fabric on the survivor count.
   decompose(new_num_ranks);
@@ -523,20 +526,14 @@ void DistributedSw::shrink_to(int new_num_ranks) {
   //    continued integration is bitwise identical to an uninterrupted run.
   for (int r = 0; r < new_num_ranks; ++r) {
     const auto& lm = locals_[static_cast<std::size_t>(r)];
-    sw::FieldStore& store = fields(r);
-    auto fill = [&](FieldId field, const std::vector<Real>& global) {
-      auto data = store.get(field);
-      const bool cells = sw::field_info(field).location == MeshLocation::Cell;
-      const Index n = cells ? lm.mesh.num_cells : lm.mesh.num_edges;
+    for (std::size_t k = 0; k < state.size(); ++k) {
+      auto data = fields(r).get(state[k]);
+      const bool cells =
+          sw::field_info(state[k]).location == MeshLocation::Cell;
       const auto& ids = cells ? lm.mesh.global_cell_id : lm.mesh.global_edge_id;
-      for (Index i = 0; i < n; ++i)
-        data[static_cast<std::size_t>(i)] =
-            global[static_cast<std::size_t>(ids[static_cast<std::size_t>(i)])];
-    };
-    fill(FieldId::Bottom, b);
-    fill(FieldId::H, h);
-    fill(FieldId::U, u);
-    if (params_.with_tracer) fill(FieldId::TracerQ, q);
+      for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = global_state[k][static_cast<std::size_t>(ids[i])];
+    }
   }
   stall_scratch_.assign(static_cast<std::size_t>(new_num_ranks), 0.0);
   initialize();

@@ -78,11 +78,13 @@ class DistributedSw {
 
   /// Turn on the resilience layer: halo payloads travel in sequenced,
   /// checksummed envelopes with bounded retransmission; `run` additionally
-  /// checkpoints every rank's full field state every `checkpoint_interval`
-  /// steps, health-checks the state after every step, and rolls back and
-  /// replays when the state is poisoned. Checkpoint, health decision,
-  /// rollback and shrink are step-boundary decisions on the calling thread.
-  /// Call before any exchange traffic (i.e. before initialize()).
+  /// checkpoints every rank's state fields (sw::state_fields(), halos
+  /// included) every `checkpoint_interval` steps, health-checks the state
+  /// after every step, and when the state is poisoned restores the
+  /// checkpoint, re-derives the diagnostics with initialize() and replays.
+  /// Checkpoint, health decision, rollback and shrink are step-boundary
+  /// decisions on the calling thread. Call before any exchange traffic
+  /// (i.e. before initialize()).
   void enable_resilience(const ResilienceOptions& options);
 
   [[nodiscard]] bool resilience_enabled() const {
@@ -108,14 +110,14 @@ class DistributedSw {
   void set_fault_injector(resilience::FaultInjector* injector);
 
   /// Repartition the *current* state onto `new_num_ranks` ranks
-  /// (degraded-mode continuation after rank loss). Gathers H/U (+tracer)
-  /// and the topography by global id, rebuilds the decomposition, the rank
-  /// models and the fabric, refills every local entity, and re-derives the
-  /// diagnostics — the exact state a completed step leaves, so the
-  /// continued run stays bitwise identical to an uninterrupted one (owned
-  /// values are rank-count-invariant). Requires quiescence (no halo traffic
-  /// in flight); the checkpoint is invalidated and retaken on the next
-  /// resilient step, cumulative resilience counters carry over.
+  /// (degraded-mode continuation after rank loss). Gathers the state
+  /// fields (sw::state_fields()) by global id, rebuilds the decomposition,
+  /// the rank models and the fabric, refills every local entity, and
+  /// re-derives the diagnostics — the exact state a completed step leaves,
+  /// so the continued run stays bitwise identical to an uninterrupted one
+  /// (owned values are rank-count-invariant). Requires quiescence (no halo
+  /// traffic in flight); the checkpoint is invalidated and retaken on the
+  /// next resilient step, cumulative resilience counters carry over.
   void shrink_to(int new_num_ranks);
 
  private:

@@ -1,6 +1,6 @@
 // ModelDriftMonitor: online comparison of measured step times against the
-// machine model's predictions, per named channel ("host", "accel",
-// "step.wall", ...). Raises an alarm the moment measurement and model
+// machine model's predictions, per named channel (SelfHealingHybrid feeds
+// "accel"). Raises an alarm the moment measurement and model
 // diverge — the gray-failure evidence HealthMonitor folds in before hard
 // faults show, and the trigger for recalibration (ROADMAP item 1).
 //

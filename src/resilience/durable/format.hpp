@@ -30,8 +30,8 @@ namespace mpas::resilience::durable {
 
 inline constexpr std::uint32_t kFormatVersion = 1;
 
-/// One saved array: whatever the producer indexes by (the service codec
-/// uses rank 0 and FieldId slots).
+/// One saved array: whatever the producer indexes by (sw/state_codec uses
+/// the rank and FieldId slots).
 struct CheckpointSlot {
   int rank = 0;
   int slot = 0;
@@ -39,8 +39,9 @@ struct CheckpointSlot {
 };
 
 /// A complete in-memory checkpoint: the unit the writer publishes and the
-/// reader returns. `user_tag` is opaque to the format — the service stores
-/// the prognostic state hash there so recovery can verify the restore.
+/// reader returns, and DistributedSw's in-memory rollback target.
+/// `user_tag` is opaque to the format — the service stores the H/U state
+/// hash there so recovery can verify the restore.
 struct CheckpointImage {
   std::int64_t step = 0;
   std::uint64_t user_tag = 0;

@@ -5,7 +5,6 @@
 #include "analysis/lock_order.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
-#include "util/timer.hpp"
 
 namespace mpas::resilience::health {
 
@@ -88,10 +87,9 @@ void SelfHealingHybrid::swap_in(ReplanResult plans[3],
   // plan as a host gray failure.
   monitor_.reset_baseline("host");
   monitor_.reset_baseline("accel");
-  // The modeled per-device work also changed, so every drift channel's
+  // The modeled per-device work also changed, so the drift channel's
   // frozen baseline is stale; relearn under the new plan.
   drift_.reset_all();
-  wall_seen_ = 0;
   model_.publish_predictions(opts_.sim);
   avail_ = avail;
   pending_valid_ = false;
@@ -172,12 +170,8 @@ void SelfHealingHybrid::step() {
     }
   }
 
-  // 4. The numerics (schedule-invariant, bitwise), wall-timed for the
-  //    "step.wall" drift channel.
-  const double wall_start = mpas::monotonic_seconds();
+  // 4. The numerics (schedule-invariant, bitwise).
   model_.step();
-  const Real wall_s =
-      static_cast<Real>(mpas::monotonic_seconds() - wall_start);
 
   // 5. Feed the monitor this step's modeled device times and link retries.
   Real host_s = 0;
@@ -202,24 +196,13 @@ void SelfHealingHybrid::step() {
   monitor_.observe_transfer_retries("accel", retries - seen_retries_);
   seen_retries_ = retries;
 
-  // 5b. Model-drift observations: modeled device seconds against what the
-  //     devices actually delivered (the accel channel sees the gray-
-  //     failure hook, so a throttled device reads as measured > predicted
-  //     off the model's *absolute* number — no multi-step EWMA to
-  //     separate first), plus measured whole-step wall time against the
-  //     plan's modeled makespan. The wall channel is fed the minimum of
-  //     the last three steps so one descheduled step (CI noise) cannot
-  //     fake a sustained drift.
+  // 5b. Model drift: the accelerator's modeled seconds against what it
+  //     delivered. The channel sees the gray-failure hook, so a throttled
+  //     device reads as measured > predicted off the model's *absolute*
+  //     number — no multi-step EWMA to separate first.
   if (drift_.policy().enabled) {
-    drift_.observe("host", step_, host_s, host_s);
     if (used_accel)
       drift_.observe("accel", step_, accel_s, accel_s * accel_factor);
-    wall_window_[wall_seen_ % 3] = wall_s;
-    wall_seen_ += 1;
-    Real wall_min = wall_window_[0];
-    for (int i = 1; i < std::min(wall_seen_, 3); ++i)
-      wall_min = std::min(wall_min, wall_window_[i]);
-    drift_.observe("step.wall", step_, modeled_step_seconds(), wall_min);
     // Poll the detector and hand the evidence to the health ladder: a
     // drifting channel contributes one bad signal per step, so a
     // sustained drift marches the entity to Suspect (and on to
@@ -227,8 +210,6 @@ void SelfHealingHybrid::step() {
     // but starting earlier, at the detector's second slow step.
     if (drift_.drifting("accel"))
       monitor_.observe_drift("accel", step_, drift_.drift("accel"));
-    if (drift_.drifting("host"))
-      monitor_.observe_drift("host", step_, drift_.drift("host"));
   }
 
   // 6. Fold signals; 7. a generation change means the availability view

@@ -134,11 +134,6 @@ class SelfHealingHybrid {
   std::uint64_t seen_generation_ = 0;
   std::uint64_t seen_retries_ = 0;
   std::function<Real()> accel_slowdown_hook_;
-  /// Rolling window of measured whole-step wall seconds; the "step.wall"
-  /// drift channel is fed the window minimum so a single descheduled step
-  /// (CI noise) cannot fake a sustained drift.
-  Real wall_window_[3] = {0, 0, 0};
-  int wall_seen_ = 0;
 };
 
 }  // namespace mpas::resilience::health

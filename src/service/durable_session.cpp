@@ -67,7 +67,9 @@ SessionCheckpointer::SessionCheckpointer(const DurabilityPolicy& policy,
 void SessionCheckpointer::on_step(std::int64_t completed_steps,
                                   const sw::FieldStore& fields) {
   if (completed_steps <= 0 || completed_steps % every_ != 0) return;
-  auto image = sw::snapshot_prognostic(fields, completed_steps);
+  resilience::durable::CheckpointImage image;
+  image.step = completed_steps;
+  sw::snapshot_state(fields, 0, image);
   image.user_tag = state_hash(fields);
   writer_.submit(std::move(image));
 }

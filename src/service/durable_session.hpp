@@ -7,9 +7,10 @@
 //
 // A SessionCheckpointer owns one session's DurableStore + DurableWriter.
 // on_step() is called at every completed step: off-cadence it returns
-// immediately; on-cadence it snapshots the prognostic fields (a memcpy)
-// and stages them for the writer thread — the integrator never waits on
-// an fsync. Each published generation is journaled as a "progress" mark.
+// immediately; on-cadence it copies the state fields (sw::state_fields(),
+// rank 0) and stages them for the writer thread — the integrator never
+// waits on an fsync. Each published generation is journaled as a
+// "progress" mark.
 //
 // Checkpoints of a recovery chain live in ONE directory, keyed by the
 // chain's root (first epoch, first id): a recovered session inherits its

@@ -149,15 +149,16 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
   sw::apply_initial_conditions(*tc, *ctx.mesh, sut.model().fields());
   int start_step = 0;
   if (ctx.resume != nullptr) {
-    // Crash recovery: overwrite the prognostic fields with the durable
-    // snapshot *before* initialize(), which recomputes every diagnostic
-    // deterministically from H/U — the same restore protocol the restart
-    // test (tests/test_output.cpp) proves continues bit-for-bit.
+    // Crash recovery: overwrite the state fields with the durable snapshot
+    // *before* initialize(), which recomputes every diagnostic from them —
+    // the restart protocol of sw/state_codec.hpp, which
+    // StateCodec.SnapshotRestoreContinuesBitwise proves continues
+    // bit-for-bit.
     result.recovered = true;
     result.recovered_from = ctx.resume->from_id;
     result.recovered_from_epoch = ctx.resume->from_epoch;
     if (ctx.resume->step >= 0) {
-      sw::restore_prognostic(ctx.resume->image, sut.model().fields());
+      sw::restore_state(ctx.resume->image, 0, sut.model().fields());
       const std::uint64_t restored = state_hash(sut.model().fields());
       MPAS_CHECK_MSG(restored == ctx.resume->expect_hash,
                      "durable restore hash mismatch for session "
@@ -314,7 +315,7 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
       spent += output_seconds;
     }
 
-    // Durability hook: stage a prognostic snapshot when the cadence hits.
+    // Durability hook: stage a state snapshot when the cadence hits.
     // The final step is excluded — the terminal journal record supersedes
     // any checkpoint there. Disabled path: this one branch.
     if (ctx.durable != nullptr && s + 1 < req.steps)

@@ -47,7 +47,7 @@ struct SessionRunContext {
   /// deadline/cancel decisions into it.
   obs::telemetry::FlightRecorder* flight = nullptr;
   /// Crash-recovery restore point (null = fresh session). When set with a
-  /// non-negative step, the prognostic fields are restored before
+  /// non-negative step, the state fields are restored before
   /// initialize() and the step loop starts there.
   const ResumeState* resume = nullptr;
   /// Durable checkpointing hook (null = durability off — the disabled

@@ -1,6 +1,5 @@
 #include "sw/output.hpp"
 
-#include <cstring>
 #include <fstream>
 
 #include "util/error.hpp"
@@ -47,47 +46,6 @@ void write_vtk(const std::string& path, const mesh::VoronoiMesh& m,
     for (Index c = 0; c < m.num_cells; ++c) os << data[c] << "\n";
   }
   MPAS_CHECK_MSG(os.good(), "write failure on '" << path << "'");
-}
-
-namespace {
-constexpr char kMagic[8] = {'M', 'P', 'A', 'S', 'S', 'T', 'A', '1'};
-}
-
-void save_state(const std::string& path, const FieldStore& fields) {
-  std::ofstream os(path, std::ios::binary);
-  MPAS_CHECK_MSG(os.good(), "cannot open '" << path << "'");
-  os.write(kMagic, sizeof(kMagic));
-  const auto& m = fields.mesh();
-  os.write(reinterpret_cast<const char*>(&m.num_cells), sizeof(Index));
-  os.write(reinterpret_cast<const char*>(&m.num_edges), sizeof(Index));
-  for (FieldId f : {FieldId::H, FieldId::U, FieldId::Bottom}) {
-    const auto data = fields.get(f);
-    os.write(reinterpret_cast<const char*>(data.data()),
-             static_cast<std::streamsize>(data.size() * sizeof(Real)));
-  }
-  MPAS_CHECK_MSG(os.good(), "write failure on '" << path << "'");
-}
-
-void load_state(const std::string& path, FieldStore& fields) {
-  std::ifstream is(path, std::ios::binary);
-  MPAS_CHECK_MSG(is.good(), "cannot open checkpoint '" << path << "'");
-  char magic[sizeof(kMagic)];
-  is.read(magic, sizeof(magic));
-  MPAS_CHECK_MSG(is.good() && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
-                 "'" << path << "' is not a state checkpoint");
-  Index cells = 0, edges = 0;
-  is.read(reinterpret_cast<char*>(&cells), sizeof(Index));
-  is.read(reinterpret_cast<char*>(&edges), sizeof(Index));
-  const auto& m = fields.mesh();
-  MPAS_CHECK_MSG(cells == m.num_cells && edges == m.num_edges,
-                 "checkpoint for a different mesh (" << cells << " cells vs "
-                                                     << m.num_cells << ")");
-  for (FieldId f : {FieldId::H, FieldId::U, FieldId::Bottom}) {
-    auto data = fields.get(f);
-    is.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(Real)));
-    MPAS_CHECK_MSG(is.good(), "truncated checkpoint '" << path << "'");
-  }
 }
 
 }  // namespace mpas::sw

@@ -1,11 +1,7 @@
-// Field output for visualization and restart.
-//
-//  * write_vtk: legacy-VTK PolyData of the Voronoi cells (polygons built
-//    from the dual-triangle circumcenters) with any set of cell-centred
-//    fields attached — loadable directly in ParaView/VisIt.
-//  * save_state / load_state: binary checkpoint of the prognostic state
-//    (H, U, Bottom) with mesh-compatibility checks, enabling restart runs
-//    that continue bit-for-bit (RK-4 needs no history).
+// Field output for visualization: legacy-VTK PolyData of the Voronoi cells
+// (polygons built from the dual-triangle circumcenters) with any set of
+// cell-centred fields attached — loadable directly in ParaView/VisIt.
+// Restart state goes through sw/state_codec.hpp instead.
 #pragma once
 
 #include <string>
@@ -19,13 +15,5 @@ namespace mpas::sw {
 /// Throws on I/O failure or if any field is not cell-centred.
 void write_vtk(const std::string& path, const mesh::VoronoiMesh& mesh,
                const FieldStore& fields, const std::vector<FieldId>& cell_fields);
-
-/// Checkpoint the prognostic state (H, U, Bottom).
-void save_state(const std::string& path, const FieldStore& fields);
-
-/// Restore a checkpoint into `fields`. Throws if the file does not match
-/// this mesh's entity counts. Diagnostics must be recomputed afterwards
-/// (call SwModel::initialize() / ReferenceIntegrator::initialize()).
-void load_state(const std::string& path, FieldStore& fields);
 
 }  // namespace mpas::sw

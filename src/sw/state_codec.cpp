@@ -8,44 +8,45 @@ namespace mpas::sw {
 
 namespace {
 
-// All service snapshots are single-rank (the session owns its model); the
-// rank slot stays 0 so the format matches the distributed layout.
-constexpr int kRank = 0;
-constexpr FieldId kPrognostic[] = {FieldId::H, FieldId::U};
+// A step reads these fields before it writes them, and initialize() does
+// not recompute them. Every step rewrites the RK working fields (provis,
+// accumulators, tendencies, D2H) before it reads them. TracerQ holds zeros
+// when the model has no tracer, so it is captured unconditionally.
+constexpr FieldId kStateFields[] = {FieldId::H, FieldId::U, FieldId::Bottom,
+                                    FieldId::TracerQ};
 
 }  // namespace
 
-resilience::durable::CheckpointImage snapshot_prognostic(
-    const FieldStore& fields, std::int64_t step) {
-  resilience::durable::CheckpointImage image;
-  image.step = step;
-  for (const FieldId id : kPrognostic) {
+std::span<const FieldId> state_fields() { return kStateFields; }
+
+void snapshot_state(const FieldStore& fields, int rank,
+                    resilience::durable::CheckpointImage& image) {
+  for (const FieldId id : kStateFields) {
     resilience::durable::CheckpointSlot slot;
-    slot.rank = kRank;
+    slot.rank = rank;
     slot.slot = static_cast<int>(id);
     const auto data = fields.get(id);
     slot.data.assign(data.begin(), data.end());
     image.slots.push_back(std::move(slot));
   }
-  return image;
 }
 
-void restore_prognostic(const resilience::durable::CheckpointImage& image,
-                        FieldStore& fields) {
-  for (const FieldId id : kPrognostic) {
+void restore_state(const resilience::durable::CheckpointImage& image,
+                   int rank, FieldStore& fields) {
+  for (const FieldId id : kStateFields) {
     const auto it = std::find_if(
         image.slots.begin(), image.slots.end(), [&](const auto& s) {
-          return s.rank == kRank && s.slot == static_cast<int>(id);
+          return s.rank == rank && s.slot == static_cast<int>(id);
         });
     MPAS_CHECK_MSG(it != image.slots.end(),
-                   "durable image lacks prognostic field "
-                       << field_info(id).name);
+                   "image lacks state field " << field_info(id).name
+                                              << " of rank " << rank);
     auto out = fields.get(id);
     MPAS_CHECK_MSG(it->data.size() == out.size(),
-                   "durable image field " << field_info(id).name << " has "
-                                          << it->data.size() << " entries, mesh needs "
-                                          << out.size()
-                                          << " (different mesh level?)");
+                   "image field " << field_info(id).name << " of rank " << rank
+                                  << " has " << it->data.size()
+                                  << " entries, mesh needs " << out.size()
+                                  << " (different mesh?)");
     std::copy(it->data.begin(), it->data.end(), out.begin());
   }
 }

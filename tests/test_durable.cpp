@@ -21,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +41,7 @@
 #include "service/session.hpp"
 #include "service/session_manager.hpp"
 #include "sw/model.hpp"
+#include "sw/reference.hpp"
 #include "sw/state_codec.hpp"
 #include "sw/testcases.hpp"
 #include "util/error.hpp"
@@ -418,30 +420,62 @@ TEST(DurableWriter, PublishCallbackSeesEveryPublishedImage) {
 namespace mpas::sw {
 namespace {
 
+/// The restart protocol through the one file format: snapshot the state
+/// fields after `before` steps, encode the image and decode it back,
+/// restore it into a fresh integrator with nothing else applied,
+/// initialize(), and run `after` more steps. The state, a diagnostic and
+/// the reconstruction must match `before + after` straight steps bitwise.
+template <class Make>
+void expect_restart_continues_bitwise(const mesh::VoronoiMesh& mesh,
+                                      const TestCase& tc, const Make& make,
+                                      int before, int after) {
+  auto straight = make();
+  apply_initial_conditions(tc, mesh, straight->fields());
+  straight->initialize();
+  straight->run(before);
+  resilience::durable::CheckpointImage image;
+  image.step = before;
+  snapshot_state(straight->fields(), 0, image);
+  straight->run(after);
+
+  std::vector<std::uint8_t> file;
+  for (const auto& chunk : resilience::durable::encode_chunks(image))
+    file.insert(file.end(), chunk.begin(), chunk.end());
+  const auto decoded = resilience::durable::decode_checkpoint(file);
+  EXPECT_EQ(decoded.step, before);
+
+  auto resumed = make();
+  restore_state(decoded, 0, resumed->fields());
+  resumed->initialize();
+  resumed->run(after);
+
+  for (const FieldId id : {FieldId::H, FieldId::U, FieldId::Bottom,
+                           FieldId::PvCell, FieldId::ReconZonal}) {
+    const auto want = straight->fields().get(id);
+    const auto got = resumed->fields().get(id);
+    ASSERT_EQ(got.size(), want.size()) << field_info(id).name;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(Real)),
+              0)
+        << field_info(id).name << " diverges after the restart";
+  }
+}
+
 TEST(StateCodec, SnapshotRestoreContinuesBitwise) {
-  const auto mesh = mesh::get_global_mesh(2);
-  const auto tc = make_test_case(2);
+  const auto mesh = mesh::get_global_mesh(3);
+  const auto tc = make_test_case(5);  // topography: Bottom must round-trip
   SwParams params;
   params.dt = suggested_time_step(*tc, *mesh, 0.4);
 
-  // Uninterrupted reference: 5 steps straight through.
-  SwModel ref(*mesh, params);
-  apply_initial_conditions(*tc, *mesh, ref.fields());
-  ref.initialize();
-  ref.run(3);
-  const auto snapshot = snapshot_prognostic(ref.fields(), 3);
-  ref.run(2);
-  const std::uint64_t want = service::state_hash(ref.fields());
-
-  // Restore the step-3 snapshot into a fresh model (the session recovery
-  // protocol: restore prognostics, then initialize recomputes diagnostics)
-  // and run the remaining 2 steps: bit-for-bit the same end state.
-  SwModel resumed(*mesh, params);
-  apply_initial_conditions(*tc, *mesh, resumed.fields());
-  restore_prognostic(snapshot, resumed.fields());
-  resumed.initialize();
-  resumed.run(2);
-  EXPECT_EQ(service::state_hash(resumed.fields()), want);
+  expect_restart_continues_bitwise(
+      *mesh, *tc, [&] { return std::make_unique<SwModel>(*mesh, params); },
+      3, 2);
+  expect_restart_continues_bitwise(
+      *mesh, *tc,
+      [&] {
+        return std::make_unique<ReferenceIntegrator>(*mesh, params,
+                                                     LoopVariant::BranchFree);
+      },
+      10, 10);
 }
 
 TEST(StateCodec, RestoreRejectsWrongMeshAndMissingSlots) {
@@ -452,16 +486,19 @@ TEST(StateCodec, RestoreRejectsWrongMeshAndMissingSlots) {
   params.dt = suggested_time_step(*tc, *coarse, 0.4);
   SwModel small(*coarse, params);
   apply_initial_conditions(*tc, *coarse, small.fields());
-  const auto snapshot = snapshot_prognostic(small.fields(), 0);
+  resilience::durable::CheckpointImage snapshot;
+  snapshot_state(small.fields(), 0, snapshot);
 
   SwParams fine_params;
   fine_params.dt = suggested_time_step(*tc, *fine, 0.4);
   SwModel big(*fine, fine_params);
   apply_initial_conditions(*tc, *fine, big.fields());
-  EXPECT_THROW(restore_prognostic(snapshot, big.fields()), Error);
+  EXPECT_THROW(restore_state(snapshot, 0, big.fields()), Error);
 
+  // A rank the image has no slots for, and an image with no slots at all.
+  EXPECT_THROW(restore_state(snapshot, 1, small.fields()), Error);
   resilience::durable::CheckpointImage empty;
-  EXPECT_THROW(restore_prognostic(empty, big.fields()), Error);
+  EXPECT_THROW(restore_state(empty, 0, big.fields()), Error);
 }
 
 }  // namespace
@@ -646,7 +683,7 @@ class ServiceRecovery : public ::testing::Test {
   }
 
   /// Run the reference integrator to `upto` steps and publish its
-  /// prognostic state as a durable generation in session 1's chain dir.
+  /// state fields as a durable generation in session 1's chain dir.
   CheckpointImage publish_progress(const DurabilityPolicy& p, int upto) const {
     const auto mesh = mesh::get_global_mesh(kLevel);
     const auto tc = sw::make_test_case(kCase);
@@ -656,7 +693,9 @@ class ServiceRecovery : public ::testing::Test {
     sw::apply_initial_conditions(*tc, *mesh, ref.fields());
     ref.initialize();
     ref.run(upto);
-    auto image = sw::snapshot_prognostic(ref.fields(), upto);
+    CheckpointImage image;
+    image.step = upto;
+    sw::snapshot_state(ref.fields(), 0, image);
     image.user_tag = state_hash(ref.fields());
 
     resilience::durable::DurableStore store(
@@ -871,8 +910,8 @@ TEST(DurableOverhead, BackgroundCheckpointingStaysUnderTwoPercentOfAStep) {
   const double per_step = step_timer.seconds() / kSteps;
 
   // Integrator-side durable cost at the default cadence (every=10),
-  // amortized over 200 steps: 20 snapshot+stage calls (a prognostic-pair
-  // memcpy each; the fsyncs all happen on the background writer thread)
+  // amortized over 200 steps: 20 snapshot+stage calls (a copy of the four
+  // state fields each; the fsyncs all happen on the background writer thread)
   // plus 180 off-cadence modulo checks.
   TempDir dir("overhead");
   DurabilityPolicy p;

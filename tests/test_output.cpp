@@ -1,5 +1,5 @@
-// Tests for visualization/restart output: VTK structure, checkpoint
-// round-trip, and bit-exact restart continuation.
+// Tests for visualization output: VTK structure and field checks. The
+// restart tests live with the state codec (tests/test_durable.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,7 +9,6 @@
 
 #include "mesh/mesh_cache.hpp"
 #include "sw/output.hpp"
-#include "sw/reference.hpp"
 #include "sw/testcases.hpp"
 
 namespace mpas::sw {
@@ -50,75 +49,6 @@ TEST(Vtk, RejectsNonCellFields) {
   FieldStore fields(*mesh);
   EXPECT_THROW(
       write_vtk(temp_path("bad.vtk"), *mesh, fields, {FieldId::U}), Error);
-}
-
-TEST(Checkpoint, RoundTripIsExact) {
-  const auto mesh = mesh::get_global_mesh(2);
-  FieldStore a(*mesh);
-  const auto tc = make_test_case(6);
-  apply_initial_conditions(*tc, *mesh, a);
-
-  const std::string path = temp_path("mpas_state.ckpt");
-  save_state(path, a);
-  FieldStore b(*mesh);
-  load_state(path, b);
-  std::remove(path.c_str());
-
-  for (FieldId f : {FieldId::H, FieldId::U, FieldId::Bottom}) {
-    const auto sa = a.get(f);
-    const auto sb = b.get(f);
-    for (std::size_t i = 0; i < sa.size(); ++i) ASSERT_EQ(sa[i], sb[i]);
-  }
-}
-
-TEST(Checkpoint, RestartContinuesBitForBit) {
-  // 20 straight steps == 10 steps + checkpoint/restore + 10 steps.
-  const auto mesh = mesh::get_global_mesh(3);
-  const auto tc = make_test_case(5);
-  SwParams params;
-  params.dt = suggested_time_step(*tc, *mesh, 0.4);
-
-  ReferenceIntegrator straight(*mesh, params, LoopVariant::BranchFree);
-  apply_initial_conditions(*tc, *mesh, straight.fields());
-  straight.initialize();
-  straight.run(20);
-
-  ReferenceIntegrator first(*mesh, params, LoopVariant::BranchFree);
-  apply_initial_conditions(*tc, *mesh, first.fields());
-  first.initialize();
-  first.run(10);
-  const std::string path = temp_path("mpas_restart.ckpt");
-  save_state(path, first.fields());
-
-  ReferenceIntegrator second(*mesh, params, LoopVariant::BranchFree);
-  load_state(path, second.fields());
-  std::remove(path.c_str());
-  second.initialize();  // diagnostics recomputed from H/U: deterministic
-  second.run(10);
-
-  const auto h1 = straight.fields().get(FieldId::H);
-  const auto h2 = second.fields().get(FieldId::H);
-  const auto u1 = straight.fields().get(FieldId::U);
-  const auto u2 = second.fields().get(FieldId::U);
-  for (Index c = 0; c < mesh->num_cells; ++c) ASSERT_EQ(h1[c], h2[c]);
-  for (Index e = 0; e < mesh->num_edges; ++e) ASSERT_EQ(u1[e], u2[e]);
-}
-
-TEST(Checkpoint, RejectsWrongMeshAndCorruptFiles) {
-  const auto small = mesh::get_global_mesh(2);
-  const auto big = mesh::get_global_mesh(3);
-  FieldStore a(*small);
-  const std::string path = temp_path("mpas_wrong.ckpt");
-  save_state(path, a);
-  FieldStore b(*big);
-  EXPECT_THROW(load_state(path, b), Error);
-  std::remove(path.c_str());
-
-  const std::string junk = temp_path("mpas_junk.ckpt");
-  std::ofstream(junk) << "not a checkpoint at all";
-  FieldStore c(*small);
-  EXPECT_THROW(load_state(junk, c), Error);
-  std::remove(junk.c_str());
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 // The resilience layer's contract, bottom-up: envelopes detect any damage,
-// the injector fires deterministically, checkpoints round-trip bitwise, the
-// channel recovers from drops/corruption (and escalates when it cannot),
-// and — the headline — a distributed run under a seeded fault schedule with
-// recovery enabled produces owned-cell results bitwise identical to a
-// fault-free run, with a deterministic incident report.
+// the injector fires deterministically, the channel recovers from
+// drops/corruption (and escalates when it cannot), and — the headline — a
+// distributed run under a seeded fault schedule with recovery enabled
+// produces owned-cell results bitwise identical to a fault-free run, with a
+// deterministic incident report. The checkpoint itself is the state codec's
+// image (tests/test_durable.cpp covers its round trip).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -16,7 +18,6 @@
 #include "comm/simworld.hpp"
 #include "fault_helpers.hpp"
 #include "resilience/channel.hpp"
-#include "resilience/checkpoint.hpp"
 #include "resilience/envelope.hpp"
 #include "resilience/fault.hpp"
 #include "util/error.hpp"
@@ -175,73 +176,6 @@ TEST(FaultInjector, ResetReproducesTheSchedule) {
   inj.reset();
   EXPECT_EQ(inj.stats().total(), 0u);
   EXPECT_EQ(run(), first);
-}
-
-// -------------------------------------------------------------- checkpoint
-
-TEST(CheckpointStore, SaveRestoreRoundTripsBitwise) {
-  Checkpoint cp;
-  EXPECT_FALSE(cp.valid());
-  EXPECT_THROW(static_cast<void>(cp.step()), Error);
-  cp.begin(10);
-  const std::vector<Real> a{1.0, -0.0, 5e-324, 1e308};
-  const std::vector<Real> b{2.0};
-  cp.save(0, 3, a);
-  cp.save(1, 3, b);
-  EXPECT_FALSE(cp.valid());  // staged, not yet published
-  cp.commit();
-  EXPECT_TRUE(cp.valid());
-  EXPECT_EQ(cp.step(), 10);
-  EXPECT_EQ(cp.bytes(), 5 * sizeof(Real));
-  std::vector<Real> out(a.size(), 99.0);
-  cp.restore(0, 3, out);
-  expect_bitwise_equal(out, a, "restored slot");
-}
-
-TEST(CheckpointStore, GuardsMisuse) {
-  Checkpoint cp;
-  std::vector<Real> out(2);
-  EXPECT_THROW(cp.save(0, 0, out), Error);  // before begin()
-  EXPECT_THROW(cp.commit(), Error);         // nothing staged
-  cp.begin(0);
-  cp.save(0, 0, std::vector<Real>{1.0, 2.0, 3.0});
-  EXPECT_THROW(cp.restore(0, 0, out), Error);  // not committed yet
-  cp.commit();
-  EXPECT_THROW(cp.restore(0, 0, out), Error);  // size mismatch
-  EXPECT_THROW(cp.restore(5, 0, out), Error);  // unknown rank
-  EXPECT_THROW(cp.begin(-1), Error);
-}
-
-// The regression the double buffer exists for: a snapshot that is begun
-// but never committed (a fault mid-save, say) must leave the previously
-// committed snapshot fully restorable — there is no window in which the
-// old state is discarded before the new one is whole.
-TEST(CheckpointStore, HalfWrittenSnapshotLeavesCommittedIntact) {
-  Checkpoint cp;
-  const std::vector<Real> good{1.0, 2.0, 3.0};
-  cp.begin(5);
-  cp.save(0, 0, good);
-  cp.commit();
-
-  // A new snapshot starts and dies half-written...
-  cp.begin(9);
-  cp.save(0, 0, std::vector<Real>{-1.0, -2.0, -3.0});
-  // ...(no commit): the rollback target is still the step-5 snapshot.
-  EXPECT_TRUE(cp.valid());
-  EXPECT_EQ(cp.step(), 5);
-  std::vector<Real> out(good.size());
-  cp.restore(0, 0, out);
-  expect_bitwise_equal(out, good, "committed snapshot after torn staging");
-
-  // abandon() drops the torn staging; a fresh begin/commit then publishes.
-  cp.abandon();
-  EXPECT_THROW(cp.commit(), Error);
-  cp.begin(12);
-  cp.save(0, 0, std::vector<Real>{7.0, 8.0, 9.0});
-  cp.commit();
-  EXPECT_EQ(cp.step(), 12);
-  cp.restore(0, 0, out);
-  EXPECT_EQ(out[0], 7.0);
 }
 
 // ----------------------------------------------------------------- channel
@@ -682,6 +616,60 @@ TEST_F(ResilientRun, RollbackWithInFlightHaloExchangeStaysBitwise) {
   EXPECT_EQ(s.channel.detected_drops, 1u);
   EXPECT_EQ(s.channel.retransmits, 1u);
   EXPECT_EQ(s.channel.stale_discarded, 1u);
+}
+
+TEST_F(ResilientRun, RollbackUnderTracerAndDiffusionLandsBitwise) {
+  // A rollback restores the state fields and re-derives the rest with
+  // initialize(). With the tracer advected and del^2 diffusion on, two SDC
+  // rollbacks must still land on the fault-free tracer, state, diagnostics
+  // and reconstruction, on every rank count.
+  sw::SwParams p = params;
+  p.with_tracer = true;
+  p.nu_del2_h = 1e4;
+  p.nu_del2_u = 1e4;
+  constexpr int kRun = 7;
+  constexpr Real kBellLon = constants::kPi / 2;
+  constexpr Real kBellRadius = constants::kPi / 4;
+  const auto run = [&](int ranks, const comm::ResilienceOptions* opts) {
+    auto d = std::make_unique<comm::DistributedSw>(mesh, ranks, p);
+    if (opts != nullptr) d->enable_resilience(*opts);
+    d->apply_test_case(*tc);
+    for (int r = 0; r < ranks; ++r)
+      sw::apply_cosine_bell_tracer(d->local_mesh(r).mesh, d->fields(r),
+                                   kBellLon, 0.0, kBellRadius);
+    d->initialize();
+    d->run(kRun);
+    return d;
+  };
+  for (const int ranks : {2, 3, 4}) {
+    SCOPED_TRACE(ranks);
+    const auto truth = run(ranks, nullptr);
+
+    FaultInjector inj;
+    FaultSpec sdc_h;
+    sdc_h.kind = FaultKind::StateCorrupt;
+    sdc_h.rank = ranks - 1;
+    sdc_h.step = 3;
+    inj.add(sdc_h);
+    FaultSpec sdc_u;
+    sdc_u.kind = FaultKind::StateCorrupt;
+    sdc_u.rank = 0;
+    sdc_u.step = 5;
+    sdc_u.tag = static_cast<int>(sw::FieldId::U);
+    inj.add(sdc_u);
+    comm::ResilienceOptions opts;
+    opts.injector = &inj;
+    opts.checkpoint_interval = 2;
+    const auto d = run(ranks, &opts);
+
+    EXPECT_TRUE(inj.exhausted());
+    EXPECT_EQ(d->resilience_stats().rollbacks, 2u);
+    for (const sw::FieldId f : {sw::FieldId::H, sw::FieldId::U,
+                                sw::FieldId::TracerQ, sw::FieldId::ReconZonal,
+                                sw::FieldId::PvCell})
+      expect_bitwise_equal(d->gather_global(f), truth->gather_global(f),
+                           sw::field_info(f).name);
+  }
 }
 
 TEST_F(ResilientRun, RepeatedStateCorruptionEscalatesAfterMaxRollbacks) {
