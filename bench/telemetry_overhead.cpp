@@ -1,9 +1,8 @@
 // Telemetry overhead series: the per-operation wall cost of each
 // steady-state observability hook the service layer adds to a healthy
-// session — flight-recorder ring writes (the allocation-free overwrite
-// path), the disabled event-log probe every emit site makes, an enabled
-// event-log emit (render + write + flush one JSONL line), and one SLO
-// rolling-window fold. Measured series with a committed baseline, gated
+// session — flight-recorder ring writes (one fact copied into a full
+// ring), the disabled event-log probe, an enabled event-log emit (render
+// + write + flush one JSONL line), and one SLO rolling-window fold. Measured series with a committed baseline, gated
 // by bench_compare's wide measured band; the hard <2%-of-a-step budget is
 // asserted in tests/test_telemetry.cpp against a real profiled step.
 #include <cstdio>
@@ -43,14 +42,12 @@ int main(int argc, char** argv) {
   // Flight recorder with the ring already full: every healthy session
   // lives on this overwrite path after its first kDefaultCapacity events.
   telemetry::FlightRecorder recorder;
-  const std::string detail = "deadline check: spent 1.25 of 2.0";
-  for (std::size_t i = 0; i < recorder.capacity(); ++i)
-    recorder.record(telemetry::FlightKind::DeadlineCheck, 0, detail);
+  telemetry::WideEvent check("deadline_check", "gold", 7);
+  check.add("step", 4).add("needed_modeled_s", 1.25).add(
+      "deadline_modeled_s", 2.0);
+  for (std::size_t i = 0; i < recorder.capacity(); ++i) recorder.record(check);
   const auto flight = runner.collect([&] {
-    return per_op_ns(ops, [&](int i) {
-      recorder.record(telemetry::FlightKind::DeadlineCheck, i, detail, 1.25,
-                      2.0);
-    });
+    return per_op_ns(ops, [&](int) { recorder.record(check); });
   });
   bench::add_measured("flight_record_ns", flight, "ns");
 

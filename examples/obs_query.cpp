@@ -1,9 +1,11 @@
-// obs_query: the service's wide-event log, queryable.
+// obs_query: the service's facts, queryable.
 //
-// Reads the JSONL file the MPAS_EVENTS sink wrote (one event per service
-// decision / session state change) and answers the questions CI and
-// humans both ask: what happened, to whom, when — and did the service
-// keep its SLOs?
+// Reads any file of service facts — one JSONL WideEvent per decision or
+// session state change: the MPAS_EVENTS event log, the durability
+// journal, or a flight dump (flight_session<id>.jsonl, whose first line
+// is the flight_dump fact) — and answers the questions CI and humans
+// both ask: what happened, to whom, when — and did the service keep its
+// SLOs?
 //
 //   obs_query <events.jsonl> [mode=summary|events|slo] [filters...]
 //   obs_query <profile.json> mode=profile [max_drift=<ratio>]

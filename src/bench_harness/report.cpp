@@ -1,37 +1,33 @@
 #include "bench_harness/report.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/trace.hpp"  // json_escape
+#include "obs/trace.hpp"  // json_escape, json_number
 #include "util/error.hpp"
 
 namespace mpas::bench_harness {
 
+using obs::json_number;
+
 namespace {
 
 // ---- writing ----------------------------------------------------------------
-
-std::string num(double v) {
-  if (!std::isfinite(v)) return "0";  // schema has no use for NaN/Inf
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 std::string str(const std::string& s) {
   return '"' + obs::json_escape(s) + '"';
 }
 
 void write_stats(std::ostringstream& os, const SampleStats& s) {
-  os << "{\"count\":" << s.count << ",\"min\":" << num(s.min)
-     << ",\"max\":" << num(s.max) << ",\"mean\":" << num(s.mean)
-     << ",\"median\":" << num(s.median) << ",\"stddev\":" << num(s.stddev)
-     << ",\"p25\":" << num(s.p25) << ",\"p75\":" << num(s.p75)
-     << ",\"iqr\":" << num(s.iqr) << ",\"outliers\":" << s.outliers << "}";
+  os << "{\"count\":" << s.count << ",\"min\":" << json_number(s.min)
+     << ",\"max\":" << json_number(s.max)
+     << ",\"mean\":" << json_number(s.mean)
+     << ",\"median\":" << json_number(s.median)
+     << ",\"stddev\":" << json_number(s.stddev)
+     << ",\"p25\":" << json_number(s.p25) << ",\"p75\":" << json_number(s.p75)
+     << ",\"iqr\":" << json_number(s.iqr) << ",\"outliers\":" << s.outliers
+     << "}";
 }
 
 void write_string_map(std::ostringstream& os,
@@ -41,25 +37,25 @@ void write_string_map(std::ostringstream& os,
   for (const auto& [key, value] : map) {
     if (!first) os << ",";
     first = false;
-    os << str(key) << ":" << num(value);
+    os << str(key) << ":" << json_number(value);
   }
   os << "}";
 }
 
 void write_attribution(std::ostringstream& os, const AttributionReport& a) {
   os << "{\"track\":" << str(a.track_name)
-     << ",\"span_us\":" << num(a.span_us)
-     << ",\"imbalance\":" << num(a.imbalance)
-     << ",\"overlap_efficiency\":" << num(a.overlap_efficiency)
-     << ",\"transfer_total_us\":" << num(a.transfer_total_us)
-     << ",\"transfer_exposed_us\":" << num(a.transfer_exposed_us)
+     << ",\"span_us\":" << json_number(a.span_us)
+     << ",\"imbalance\":" << json_number(a.imbalance)
+     << ",\"overlap_efficiency\":" << json_number(a.overlap_efficiency)
+     << ",\"transfer_total_us\":" << json_number(a.transfer_total_us)
+     << ",\"transfer_exposed_us\":" << json_number(a.transfer_exposed_us)
      << ",\"lanes\":[";
   for (std::size_t i = 0; i < a.lanes.size(); ++i) {
     const LaneUsage& lane = a.lanes[i];
     if (i) os << ",";
     os << "{\"lane\":" << lane.lane << ",\"name\":" << str(lane.name)
        << ",\"role\":" << str(to_string(lane.role))
-       << ",\"busy_us\":" << num(lane.busy_us) << "}";
+       << ",\"busy_us\":" << json_number(lane.busy_us) << "}";
   }
   os << "],\"per_pattern_us\":";
   write_string_map(os, a.per_pattern_us);
@@ -69,15 +65,17 @@ void write_attribution(std::ostringstream& os, const AttributionReport& a) {
   for (std::size_t i = 0; i < a.devices.size(); ++i) {
     const DeviceUtilization& d = a.devices[i];
     if (i) os << ",";
-    os << "{\"device\":" << str(d.device) << ",\"busy_s\":" << num(d.busy_s)
-       << ",\"flops\":" << num(d.flops) << ",\"bytes\":" << num(d.bytes)
-       << ",\"achieved_gflops\":" << num(d.achieved_gflops)
-       << ",\"peak_gflops\":" << num(d.peak_gflops)
-       << ",\"achieved_gbs\":" << num(d.achieved_gbs)
-       << ",\"peak_gbs\":" << num(d.peak_gbs)
-       << ",\"flop_utilization\":" << num(d.flop_utilization)
-       << ",\"bandwidth_utilization\":" << num(d.bandwidth_utilization)
-       << ",\"roofline_utilization\":" << num(d.roofline_utilization)
+    os << "{\"device\":" << str(d.device)
+       << ",\"busy_s\":" << json_number(d.busy_s)
+       << ",\"flops\":" << json_number(d.flops)
+       << ",\"bytes\":" << json_number(d.bytes)
+       << ",\"achieved_gflops\":" << json_number(d.achieved_gflops)
+       << ",\"peak_gflops\":" << json_number(d.peak_gflops)
+       << ",\"achieved_gbs\":" << json_number(d.achieved_gbs)
+       << ",\"peak_gbs\":" << json_number(d.peak_gbs)
+       << ",\"flop_utilization\":" << json_number(d.flop_utilization)
+       << ",\"bandwidth_utilization\":" << json_number(d.bandwidth_utilization)
+       << ",\"roofline_utilization\":" << json_number(d.roofline_utilization)
        << "}";
   }
   os << "]}";
@@ -249,7 +247,7 @@ std::string BenchReport::to_json() const {
        << ",\"direction\":" << str(to_string(s.direction)) << ",\"samples\":[";
     for (std::size_t j = 0; j < s.samples.size(); ++j) {
       if (j) os << ",";
-      os << num(s.samples[j]);
+      os << json_number(s.samples[j]);
     }
     os << "],\"stats\":";
     write_stats(os, s.stats);

@@ -2,25 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
-#include "obs/trace.hpp"  // json_escape
+#include "obs/trace.hpp"  // json_escape, json_number
 #include "util/lock_ranks.hpp"
 #include "util/mutex.hpp"
 
 namespace mpas::obs {
 
 namespace {
-
-std::string json_num(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 std::string& metrics_session_path() {
   static std::string path;
@@ -224,7 +216,7 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [name, v] : snap.gauges) {
     if (!first) os << ",";
     first = false;
-    os << '"' << json_escape(name) << "\":" << json_num(v);
+    os << '"' << json_escape(name) << "\":" << json_number(v);
   }
   os << "},\"histograms\":{";
   first = true;
@@ -232,14 +224,15 @@ std::string MetricsRegistry::to_json() const {
     if (!first) os << ",";
     first = false;
     os << '"' << json_escape(name) << "\":{\"count\":" << h.count
-       << ",\"sum\":" << json_num(h.sum) << ",\"mean\":" << json_num(h.mean)
-       << ",\"p50\":" << json_num(h.p50) << ",\"p95\":" << json_num(h.p95)
-       << ",\"p99\":" << json_num(h.p99) << ",\"buckets\":[";
+       << ",\"sum\":" << json_number(h.sum)
+       << ",\"mean\":" << json_number(h.mean)
+       << ",\"p50\":" << json_number(h.p50) << ",\"p95\":" << json_number(h.p95)
+       << ",\"p99\":" << json_number(h.p99) << ",\"buckets\":[";
     bool first_bucket = true;
     for (const auto& [edge, c] : h.buckets) {
       if (!first_bucket) os << ",";
       first_bucket = false;
-      os << "[" << json_num(edge) << "," << c << "]";
+      os << "[" << json_number(edge) << "," << c << "]";
     }
     os << "]}";
   }

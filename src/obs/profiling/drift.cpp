@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "obs/metrics.hpp"
-#include "obs/telemetry/event_log.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -182,14 +181,6 @@ void ModelDriftMonitor::observe(const std::string& channel, std::int64_t step,
               "," + trace_arg("ratio", rel) + "," +
               trace_arg("baseline", c.baseline) + "," +
               trace_arg("score", score));
-      auto& events = telemetry::EventLog::global();
-      if (events.enabled())
-        events.emit("drift_alarm", /*tenant=*/"", /*session=*/0,
-                    trace_arg("channel", channel) + "," +
-                        trace_arg("step", step) + "," +
-                        trace_arg("ratio", rel) + "," +
-                        trace_arg("baseline", c.baseline) + "," +
-                        trace_arg("score", score));
     }
   }
   notify_listeners();

@@ -21,9 +21,10 @@
 // back under the threshold; the Page-Hinkley accumulator restarts so a
 // second sustained shift re-alarms. Every observation publishes
 // obs.profile.* metrics; alarms additionally emit a drift:alarm trace
-// instant, a wide event through the event log, and the registered alarm
-// listeners (delivered after the monitor's mutex is released — listeners
-// may call lower-ranked locks such as HealthMonitor's).
+// instant and reach the registered alarm listeners (delivered after the
+// monitor's mutex is released — listeners may call lower-ranked locks
+// such as HealthMonitor's). A service session's listener records the
+// alarm as its `drift` fact.
 #pragma once
 
 #include <atomic>

@@ -1,25 +1,47 @@
 #include "obs/telemetry/event_log.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
-#include "obs/trace.hpp"  // json_escape
+#include "obs/trace.hpp"  // trace_arg, json_escape, json_number
 #include "util/timer.hpp"
 
 namespace mpas::obs::telemetry {
 
 namespace {
 
-std::string json_num(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+WideEvent& append_member(WideEvent& event, const std::string& member) {
+  if (!event.attrs.empty()) event.attrs += ',';
+  event.attrs += member;
+  return event;
 }
 
 }  // namespace
+
+WideEvent& WideEvent::add(const char* key, double value) {
+  return append_member(*this, trace_arg(key, value));
+}
+
+WideEvent& WideEvent::add(const char* key, std::int64_t value) {
+  return append_member(*this, trace_arg(key, value));
+}
+
+WideEvent& WideEvent::add(const char* key, std::uint64_t value) {
+  return append_member(*this, trace_arg(key, value));
+}
+
+WideEvent& WideEvent::add(const char* key, bool value) {
+  return append_member(*this, '"' + std::string(key) + "\":" +
+                                  (value ? "true" : "false"));
+}
+
+WideEvent& WideEvent::add(const char* key, const std::string& value) {
+  return append_member(*this, trace_arg(key, value));
+}
+
+WideEvent& WideEvent::add(const char* key, const char* value) {
+  return append_member(*this, trace_arg(key, value));
+}
 
 std::optional<std::string> env_events_path() {
   const char* path = std::getenv("MPAS_EVENTS");
@@ -29,7 +51,7 @@ std::optional<std::string> env_events_path() {
 
 std::string to_jsonl(const WideEvent& event) {
   std::ostringstream os;
-  os << "{\"ts\":" << json_num(event.ts_s) << ",\"tenant\":\""
+  os << "{\"ts\":" << json_number(event.ts_s) << ",\"tenant\":\""
      << json_escape(event.tenant) << "\",\"session\":" << event.session
      << ",\"kind\":\"" << json_escape(event.kind) << "\"";
   if (!event.attrs.empty()) os << ",\"attrs\":{" << event.attrs << "}";
@@ -47,11 +69,11 @@ EventLog& EventLog::global() {
   return log;
 }
 
-void EventLog::open(const std::string& path) {
+void EventLog::open(const std::string& path, Mode mode) {
   // concurrency-lint: allow(blocking-under-lock) serializing the sink is this lock's purpose
   const util::LockGuard lock(mutex_);
   if (out_.is_open()) out_.close();
-  out_.open(path, std::ios::trunc);
+  out_.open(path, mode == Mode::Append ? std::ios::app : std::ios::trunc);
   path_ = path;
   written_ = 0;
   enabled_.store(out_.good(), std::memory_order_relaxed);
@@ -69,9 +91,14 @@ void EventLog::close() {
 
 void EventLog::emit(const WideEvent& event) {
   if (!enabled()) return;
-  WideEvent stamped = event;
-  if (stamped.ts_s < 0) stamped.ts_s = monotonic_seconds();
-  const std::string line = to_jsonl(stamped);
+  std::string line;
+  if (event.ts_s < 0) {
+    WideEvent stamped = event;
+    stamped.ts_s = monotonic_seconds();
+    line = to_jsonl(stamped);
+  } else {
+    line = to_jsonl(event);
+  }
   const util::LockGuard lock(mutex_);
   if (!out_.is_open()) return;
   // Flush per line: the event log is the black-box companion — it must be
@@ -84,10 +111,7 @@ void EventLog::emit(const WideEvent& event) {
 void EventLog::emit(const std::string& kind, const std::string& tenant,
                     std::uint64_t session, const std::string& attrs) {
   if (!enabled()) return;
-  WideEvent event;
-  event.tenant = tenant;
-  event.session = session;
-  event.kind = kind;
+  WideEvent event(kind, tenant, session);
   event.attrs = attrs;
   emit(event);
 }

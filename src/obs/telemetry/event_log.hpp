@@ -1,31 +1,41 @@
-// Structured wide-event log: one JSONL line per service decision and
-// session state change, sharing a fixed schema so CI scripts and humans
-// query the service's behaviour the same way (examples/obs_query).
+// Structured wide-event log: one JSONL line per service fact — each
+// decision and session state change — under one fixed schema, so CI
+// scripts and humans query the service's behaviour the same way
+// (examples/obs_query).
 //
 //   {"ts":<monotonic s>,"tenant":"gold","session":7,"kind":"admit",
 //    "attrs":{...}}
 //
+// WideEvent is the one record of a service fact and to_jsonl its one
+// format. The event log, the session journal (an append-mode EventLog),
+// the per-session flight ring and its dumps all hold and write the same
+// WideEvent, so one parser reads every one of them.
+//
 // `ts` is the shared monotonic timeline every other observability layer
 // stamps with (logger lines, Chrome-trace timestamps), so an event-log
 // line, a log line, and a trace instant for the same decision line up.
-// `attrs` carries the decision-specific payload as pre-rendered JSON
-// members (obs::trace_arg renders them), nested under one key so attr
-// names can never collide with the envelope schema.
+// `attrs` carries the fact's payload as rendered JSON members, appended
+// with the typed add() overloads and nested under one key so attr names
+// can never collide with the envelope schema. Doubles use
+// obs::json_number, so every attr reads back to the bits it was built
+// from.
 //
 // Zero-code-change capture, mirroring MPAS_TRACE/MPAS_METRICS: if the
 // MPAS_EVENTS environment variable names a file, the global log opens it
 // on first use and every instrumented layer appends. Each line is flushed
 // as written — the log is a postmortem artifact and must survive a crash.
 //
-// Overhead discipline: enabled() is one relaxed atomic load; attr string
-// formatting belongs behind it at every call site.
+// Overhead discipline: enabled() is one relaxed atomic load.
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "util/annotations.hpp"
 #include "util/lock_ranks.hpp"
@@ -33,17 +43,45 @@
 
 namespace mpas::obs::telemetry {
 
-/// One wide event. `ts_s < 0` means "stamp me at emit time".
+/// One service fact. `ts_s < 0` means "stamp me at emit time".
 struct WideEvent {
   double ts_s = -1;
   std::string tenant;          // may be empty for service-scope events
   std::uint64_t session = 0;   // 0 = not tied to one session
   std::string kind;
-  std::string attrs;           // pre-rendered JSON members, may be empty
+  std::string attrs;           // rendered JSON members, may be empty
+
+  WideEvent() = default;
+  WideEvent(std::string kind_, std::string tenant_, std::uint64_t session_)
+      : tenant(std::move(tenant_)),
+        session(session_),
+        kind(std::move(kind_)) {}
+
+  /// Append one `"key":value` member to attrs. A bool renders as a JSON
+  /// bool, a string JSON-escaped, a double through obs::json_number.
+  WideEvent& add(const char* key, double value);
+  WideEvent& add(const char* key, std::int64_t value);
+  WideEvent& add(const char* key, std::uint64_t value);
+  WideEvent& add(const char* key, bool value);
+  WideEvent& add(const char* key, const std::string& value);
+  WideEvent& add(const char* key, const char* value);
+  /// Every other integer type widens to 64 bits.
+  template <std::integral T>
+  WideEvent& add(const char* key, T value) {
+    if constexpr (std::is_signed_v<T>) {
+      return add(key, static_cast<std::int64_t>(value));
+    } else {
+      return add(key, static_cast<std::uint64_t>(value));
+    }
+  }
 };
 
 class EventLog {
  public:
+  /// Truncate: one run's log. Append: the session journal, whose history
+  /// spans process restarts.
+  enum class Mode { Truncate, Append };
+
   EventLog() = default;
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
@@ -52,9 +90,9 @@ class EventLog {
   /// named by MPAS_EVENTS (if any) on the first call.
   static EventLog& global();
 
-  /// Open (truncating) `path` and start accepting events. Replaces any
-  /// previously open sink.
-  void open(const std::string& path);
+  /// Open `path` and start accepting events. Replaces any previously open
+  /// sink.
+  void open(const std::string& path, Mode mode = Mode::Truncate);
   /// Flush and stop accepting events.
   void close();
 
@@ -87,7 +125,7 @@ class EventLog {
 /// Path named by the MPAS_EVENTS environment variable, if any.
 std::optional<std::string> env_events_path();
 
-/// Render one event as its JSONL line (exposed for tests).
+/// Render one event as its JSONL line (no trailing newline).
 std::string to_jsonl(const WideEvent& event);
 
 }  // namespace mpas::obs::telemetry

@@ -1,83 +1,29 @@
 #include "obs/telemetry/flight_recorder.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
-
-#include "obs/trace.hpp"  // json_escape
-#include "util/timer.hpp"
 
 namespace mpas::obs::telemetry {
 
-namespace {
-
-std::string json_num(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
-
-const char* to_string(FlightKind kind) {
-  switch (kind) {
-    case FlightKind::Admission:
-      return "admission";
-    case FlightKind::Dispatch:
-      return "dispatch";
-    case FlightKind::Retry:
-      return "retry";
-    case FlightKind::HealthTransition:
-      return "health";
-    case FlightKind::Replan:
-      return "replan";
-    case FlightKind::StepExcursion:
-      return "step_excursion";
-    case FlightKind::DriftAlarm:
-      return "drift_alarm";
-    case FlightKind::DeadlineCheck:
-      return "deadline_check";
-    case FlightKind::Cancel:
-      return "cancel";
-    case FlightKind::Recovery:
-      return "recovery";
-    case FlightKind::Terminal:
-      return "terminal";
-  }
-  return "unknown";
-}
-
+// The ring grows to capacity on demand: most sessions hold a handful of
+// facts, and the manager keeps every session's ring for its lifetime.
 FlightRecorder::FlightRecorder(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(capacity_);
-}
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
-void FlightRecorder::record(FlightKind kind, long step,
-                            const std::string& detail, double a, double b) {
-  FlightEvent event;
-  event.kind = kind;
-  event.step = step;
-  event.a = a;
-  event.b = b;
-  event.detail = detail;
-  event.ts_s = monotonic_seconds();
+void FlightRecorder::record(WideEvent fact) {
   const util::LockGuard lock(mutex_);
-  event.seq = next_seq_++;
   if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(event));
+    ring_.push_back(std::move(fact));
   } else {
-    ring_[head_] = std::move(event);
+    ring_[head_] = std::move(fact);
     head_ = (head_ + 1) % capacity_;
   }
   recorded_ += 1;
 }
 
-std::vector<FlightEvent> FlightRecorder::events() const {
+std::vector<WideEvent> FlightRecorder::events() const {
   const util::LockGuard lock(mutex_);
-  std::vector<FlightEvent> out;
+  std::vector<WideEvent> out;
   out.reserve(ring_.size());
   for (std::size_t i = 0; i < ring_.size(); ++i) {
     out.push_back(ring_[(head_ + i) % ring_.size()]);
@@ -95,49 +41,21 @@ std::size_t FlightRecorder::size() const {
   return ring_.size();
 }
 
-std::size_t FlightRecorder::count(FlightKind kind) const {
+std::size_t FlightRecorder::count(const std::string& kind) const {
   const util::LockGuard lock(mutex_);
   std::size_t n = 0;
-  for (const FlightEvent& event : ring_) {
-    if (event.kind == kind) n += 1;
+  for (const WideEvent& fact : ring_) {
+    if (fact.kind == kind) n += 1;
   }
   return n;
 }
 
-std::string FlightRecorder::to_json(std::uint64_t session,
-                                    const std::string& tenant,
-                                    const std::string& trigger) const {
-  const std::vector<FlightEvent> held = events();
-  const std::uint64_t total = recorded();
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"session\": " << session << ",\n";
-  os << "  \"tenant\": \"" << json_escape(tenant) << "\",\n";
-  os << "  \"trigger\": \"" << json_escape(trigger) << "\",\n";
-  os << "  \"capacity\": " << capacity_ << ",\n";
-  os << "  \"recorded\": " << total << ",\n";
-  os << "  \"dropped\": " << (total - held.size()) << ",\n";
-  os << "  \"events\": [\n";
-  for (std::size_t i = 0; i < held.size(); ++i) {
-    const FlightEvent& e = held[i];
-    os << "    {\"seq\":" << e.seq << ",\"ts\":" << json_num(e.ts_s)
-       << ",\"kind\":\"" << to_string(e.kind) << "\",\"step\":" << e.step
-       << ",\"a\":" << json_num(e.a) << ",\"b\":" << json_num(e.b)
-       << ",\"detail\":\"" << json_escape(e.detail) << "\"}";
-    os << (i + 1 < held.size() ? ",\n" : "\n");
-  }
-  os << "  ]\n";
-  os << "}\n";
-  return os.str();
-}
-
 bool FlightRecorder::dump_to_file(const std::string& path,
-                                  std::uint64_t session,
-                                  const std::string& tenant,
-                                  const std::string& trigger) const {
+                                  const WideEvent& header) const {
   std::ofstream out(path, std::ios::trunc);
   if (!out.good()) return false;
-  out << to_json(session, tenant, trigger);
+  out << to_jsonl(header) << '\n';
+  for (const WideEvent& fact : events()) out << to_jsonl(fact) << '\n';
   return out.good();
 }
 

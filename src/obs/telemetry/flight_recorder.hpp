@@ -1,15 +1,18 @@
-// Per-session flight recorder: a fixed-size ring buffer of the decisions
-// that explain a session's fate — admission verdict with its arithmetic,
+// Per-session flight recorder: a fixed-size ring of the service facts that
+// explain a session's fate — admission verdict with its arithmetic,
 // every retry/backoff, health transitions observed while the session ran,
 // replan swaps, step-time EWMA excursions, cancellation and deadline
-// checks. Recording is O(1) and allocation-free after the ring fills;
-// while a session is healthy the recorder costs a mutex and a slot write
-// per event and produces no output at all.
+// checks. The ring holds the same WideEvents the event log writes (see
+// event_log.hpp); recording is O(1), and while a session is healthy the
+// recorder produces no output at all.
 //
 // The payoff is the dump: on terminal failure, quarantine involvement, or
-// MPAS_FLIGHT_DUMP=all, the ring is serialized as one JSON file — the
-// black box that makes "why did session 7 die at step 4000?" answerable
-// after the process has moved on. FlightDumpPolicy holds the env grammar:
+// MPAS_FLIGHT_DUMP=all, the ring is written as one JSONL file — the black
+// box that makes "why did session 7 die at step 4000?" answerable after
+// the process has moved on. Its first line is the `flight_dump` fact
+// (trigger, path, capacity, recorded, dropped); the held facts follow,
+// oldest first, each byte-identical to its event-log line, so obs_query
+// reads a dump like any event log. FlightDumpPolicy holds the env grammar:
 //
 //   MPAS_FLIGHT_DUMP unset     -> disarmed (no dumps ever)
 //   MPAS_FLIGHT_DUMP=all       -> dump every session into ./flight_dumps
@@ -21,37 +24,12 @@
 #include <string>
 #include <vector>
 
+#include "obs/telemetry/event_log.hpp"
 #include "util/annotations.hpp"
 #include "util/lock_ranks.hpp"
 #include "util/mutex.hpp"
 
 namespace mpas::obs::telemetry {
-
-enum class FlightKind : int {
-  Admission = 0,        // verdict + cost arithmetic
-  Dispatch,             // session left the queue for a worker
-  Retry,                // transient fault -> backoff, another attempt
-  HealthTransition,     // entity state change seen by this session
-  Replan,               // schedule swap after quarantine/recovery
-  StepExcursion,        // step modeled time left the EWMA band
-  DriftAlarm,           // measured diverged from the machine model
-  DeadlineCheck,        // modeled budget exceeded at a step boundary
-  Cancel,               // cooperative cancellation honored
-  Recovery,             // crash recovery: durable restore / divergence audit
-  Terminal,             // final state + reason
-};
-
-const char* to_string(FlightKind kind);
-
-struct FlightEvent {
-  FlightKind kind = FlightKind::Admission;
-  long step = -1;        // -1 = not tied to a step
-  double a = 0;          // kind-specific numerics (cost, spent, ratio...)
-  double b = 0;
-  std::string detail;    // short human-readable context
-  double ts_s = 0;       // shared monotonic clock
-  std::uint64_t seq = 0; // monotone per-recorder sequence number
-};
 
 class FlightRecorder {
  public:
@@ -59,37 +37,30 @@ class FlightRecorder {
 
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
-  /// Append one event; overwrites the oldest once the ring is full.
-  void record(FlightKind kind, long step, const std::string& detail,
-              double a = 0, double b = 0);
+  /// Append one fact; overwrites the oldest once the ring is full.
+  void record(WideEvent fact);
 
-  /// Events currently held, oldest first.
-  [[nodiscard]] std::vector<FlightEvent> events() const;
-  /// Total events ever recorded (including overwritten ones).
+  /// Facts currently held, oldest first.
+  [[nodiscard]] std::vector<WideEvent> events() const;
+  /// Total facts ever recorded (including overwritten ones).
   [[nodiscard]] std::uint64_t recorded() const;
-  /// Events currently held (<= capacity).
+  /// Facts currently held (<= capacity).
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  /// How many held events are of `kind`.
-  [[nodiscard]] std::size_t count(FlightKind kind) const;
+  /// How many held facts are of `kind`.
+  [[nodiscard]] std::size_t count(const std::string& kind) const;
 
-  /// Serialize the ring as a self-describing JSON document.
-  [[nodiscard]] std::string to_json(std::uint64_t session,
-                                    const std::string& tenant,
-                                    const std::string& trigger) const;
-  /// to_json + write; returns false when the file cannot be opened.
-  bool dump_to_file(const std::string& path, std::uint64_t session,
-                    const std::string& tenant,
-                    const std::string& trigger) const;
+  /// Write `header` and then every held fact, oldest first, one to_jsonl
+  /// line each; false when the file cannot be written.
+  bool dump_to_file(const std::string& path, const WideEvent& header) const;
 
  private:
   std::size_t capacity_;
   mutable util::Mutex mutex_{"obs.flight_recorder",
                              util::lockrank::kFlightRecorder};
-  std::vector<FlightEvent> ring_ MPAS_GUARDED_BY(mutex_);
+  std::vector<WideEvent> ring_ MPAS_GUARDED_BY(mutex_);
   std::size_t head_ MPAS_GUARDED_BY(mutex_) = 0;  // next slot once full
   std::uint64_t recorded_ MPAS_GUARDED_BY(mutex_) = 0;
-  std::uint64_t next_seq_ MPAS_GUARDED_BY(mutex_) = 0;
 };
 
 struct FlightDumpPolicy {

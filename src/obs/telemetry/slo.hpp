@@ -63,7 +63,7 @@ struct SloSample {
   Real attainment = 1;
   Real burn_rate = 0;
   /// True when this sample moved (or kept) attainment below target —
-  /// the edge the caller turns into an slo:breach instant / event.
+  /// the edge the caller records as an slo_breach fact.
   bool breach = false;
 };
 

@@ -1,9 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 #include "obs/trace_export.hpp"
 #include "util/lock_ranks.hpp"
@@ -250,10 +251,15 @@ std::string json_escape(const std::string& text) {
   return out;
 }
 
+std::string json_number(double value) {
+  if (!std::isfinite(value)) return "0";
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  return std::string(buf, end);
+}
+
 std::string trace_arg(const char* key, double value) {
-  std::ostringstream os;
-  os << '"' << key << "\":" << value;
-  return os.str();
+  return '"' + std::string(key) + "\":" + json_number(value);
 }
 
 std::string trace_arg(const char* key, std::int64_t value) {

@@ -195,6 +195,10 @@ class TraceSpan {
 
 /// JSON-escape a string (quotes, backslashes, control characters).
 std::string json_escape(const std::string& text);
+/// The one JSON number format: the shortest text that reads back to the
+/// same double bit for bit (std::to_chars). JSON has no NaN or Inf;
+/// non-finite values render as 0.
+std::string json_number(double value);
 
 std::string trace_arg(const char* key, double value);
 std::string trace_arg(const char* key, std::int64_t value);

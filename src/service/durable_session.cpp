@@ -5,7 +5,7 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/trace.hpp"  // trace_arg
+#include "service/facts.hpp"
 #include "service/journal.hpp"
 #include "service/session.hpp"  // state_hash
 #include "sw/state_codec.hpp"
@@ -50,16 +50,17 @@ SessionCheckpointer::SessionCheckpointer(const DurabilityPolicy& policy,
       journal_(journal),
       store_({chain_dir_, policy.keep, injector}),
       writer_(store_,
-              // Runs on the writer thread, outside the writer's lock: the
-              // journal append is file I/O under its own leaf lock.
+              // Runs on the writer thread, outside the writer's lock: each
+              // sink of the progress fact is file I/O under its own leaf
+              // lock.
               [this](const resilience::durable::CheckpointImage& image,
                      const resilience::durable::PublishResult& result) {
-                if (!result.published || journal_ == nullptr) return;
-                journal_->append(
-                    "progress", tenant_, id_,
-                    obs::trace_arg("step", image.step) + "," +
-                        obs::trace_arg("generation", result.generation) + "," +
-                        obs::trace_arg("hash", hash_hex(image.user_tag)));
+                if (!result.published) return;
+                record_fact(obs::telemetry::WideEvent("progress", tenant_, id_)
+                                .add("step", image.step)
+                                .add("generation", result.generation)
+                                .add("hash", hash_hex(image.user_tag)),
+                            nullptr, journal_);
               }) {
   MPAS_CHECK_MSG(every_ >= 1, "checkpoint cadence must be >= 1");
 }

@@ -2,11 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "obs/json.hpp"
-#include "obs/telemetry/event_log.hpp"
-#include "obs/trace.hpp"  // trace_arg
+#include "service/facts.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -52,51 +50,16 @@ std::uint64_t parse_hash_hex(const std::string& hex) {
 
 void SessionJournal::open(const std::string& path) {
   const int epoch = count_epochs(path) + 1;
-  {
-    // concurrency-lint: allow(blocking-under-lock) serializing the sink is this lock's purpose
-    const util::LockGuard lock(mutex_);
-    if (out_.is_open()) out_.close();
-    out_.open(path, std::ios::app);  // append: the journal spans restarts
-    path_ = path;
-    enabled_.store(out_.good(), std::memory_order_relaxed);
-    epoch_.store(out_.good() ? epoch : 0, std::memory_order_relaxed);
-  }
+  log_.open(path, obs::telemetry::EventLog::Mode::Append);
+  epoch_.store(enabled() ? epoch : 0, std::memory_order_relaxed);
   if (enabled())
-    append("epoch", "", 0,
-           obs::trace_arg("epoch", static_cast<std::int64_t>(epoch)));
+    record_fact(obs::telemetry::WideEvent("epoch", "", 0).add("epoch", epoch),
+                nullptr, this);
 }
 
 void SessionJournal::close() {
-  const util::LockGuard lock(mutex_);
-  enabled_.store(false, std::memory_order_relaxed);
+  log_.close();
   epoch_.store(0, std::memory_order_relaxed);
-  if (out_.is_open()) {
-    out_.flush();
-    out_.close();
-  }
-  path_.clear();
-}
-
-void SessionJournal::append(const std::string& kind, const std::string& tenant,
-                            std::uint64_t session, const std::string& attrs) {
-  if (!enabled()) return;
-  obs::telemetry::WideEvent event;
-  event.tenant = tenant;
-  event.session = session;
-  event.kind = kind;
-  event.attrs = attrs;
-  const std::string line = obs::telemetry::to_jsonl(event);
-  // concurrency-lint: allow(blocking-under-lock) serializing the sink is this lock's purpose
-  const util::LockGuard lock(mutex_);
-  if (!out_.is_open()) return;
-  // Flushed per line: the journal is the WAL recovery replays — it must be
-  // complete up to the instant of a crash.
-  out_ << line << '\n' << std::flush;
-}
-
-std::string SessionJournal::path() const {
-  const util::LockGuard lock(mutex_);
-  return path_;
 }
 
 std::vector<JournalSession> JournalReplay::incomplete() const {
@@ -118,6 +81,12 @@ JournalReplay replay_journal(const std::string& path) {
   auto num = [](const obs::json::Value& v, const char* key, double dflt) {
     return v.has(key) ? v.at(key).as_number() : dflt;
   };
+  // Flags are JSON bools; journals from older builds carry 0/1 numbers.
+  auto flag = [](const obs::json::Value& v, const char* key, bool dflt) {
+    if (!v.has(key)) return dflt;
+    const obs::json::Value& f = v.at(key);
+    return f.is_number() ? f.as_number() != 0 : f.as_bool();
+  };
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     try {
@@ -130,7 +99,7 @@ JournalReplay replay_journal(const std::string& path) {
       }
       const auto id = static_cast<std::uint64_t>(num(v, "session", 0));
       const auto key = std::make_pair(epoch, id);
-      if (kind == "admit") {
+      if (kind == "admit" || kind == "admit_degraded") {
         JournalSession s;
         s.epoch = epoch;
         s.id = id;
@@ -146,7 +115,7 @@ JournalReplay replay_journal(const std::string& path) {
         s.request.deadline_modeled_s =
             static_cast<Real>(num(a, "deadline_modeled_s", 0));
         s.request.threads = static_cast<int>(num(a, "threads", 0));
-        s.request.allow_degraded = num(a, "allow_degraded", 1) != 0;
+        s.request.allow_degraded = flag(a, "allow_degraded", true);
         s.recovered_from =
             a.has("recovered_from")
                 ? parse_hash_hex(a.at("recovered_from").as_string())
@@ -170,7 +139,7 @@ JournalReplay replay_journal(const std::string& path) {
         const auto& a = v.at("attrs");
         if (a.has("state"))
           it->second.terminal_state = a.at("state").as_string();
-        it->second.terminal_diverged = num(a, "diverged", 0) != 0;
+        it->second.terminal_diverged = flag(a, "diverged", false);
       } else if (kind == "readmitted") {
         // Emitted against the *old* session's (epoch, id).
         const auto& a = v.at("attrs");

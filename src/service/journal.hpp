@@ -1,22 +1,27 @@
-// The session journal: an append-only WAL of service decisions.
+// The session journal: an append-only WAL of service facts.
 //
-// Where the PR-7 event log is an *observability* artifact (truncated per
-// run, optional), the journal is a *durability* artifact: it lives next to
-// the checkpoint generations in MPAS_CHECKPOINT_DIR, is opened in append
-// mode so process restarts extend one history, and is the source of truth
-// recovery replays. Same JSONL envelope as the event log (to_jsonl), so
-// examples/obs_query reads both with the same parser.
+// Where the event log is an *observability* artifact (truncated per run,
+// optional), the journal is a *durability* artifact: it lives next to the
+// checkpoint generations in MPAS_CHECKPOINT_DIR, is an EventLog opened in
+// append mode so process restarts extend one history, and is the source
+// of truth recovery replays. Same JSONL envelope as the event log — each
+// journal line is byte-identical to the event-log line of the same fact
+// (record_fact in service/facts.hpp writes both), so examples/obs_query
+// reads both with one parser.
 //
-// Record kinds:
-//   epoch       one per process start (the restart boundary marker)
-//   admit       a session entered the system; attrs carry the *effective*
-//               request, enough to re-run it exactly
-//   progress    a durable checkpoint generation published for a session
-//   terminal    the session reached a terminal state
-//   readmitted  recovery re-submitted an incomplete session under a new id
+// Record kinds (the WAL kinds):
+//   epoch           one per process start (the restart boundary marker)
+//   admit,          a session entered the system; attrs carry the
+//   admit_degraded  verdict and the *effective* request, enough to re-run
+//                   it exactly (replay folds both kinds as an admission)
+//   progress        a durable checkpoint generation published for a session
+//   terminal        the session reached a terminal state
+//   readmitted      recovery re-submitted an incomplete session under a new id
 //
 // State hashes ride in attrs as 16-digit hex *strings*: the JSON numbers
 // obs::json reads back are doubles, which lose u64 precision past 2^53.
+// Flags (allow_degraded, recovered, diverged) are JSON bools; replay also
+// accepts the 0/1 numbers older journals carry.
 //
 // A SIGKILL can tear the final line; replay_journal therefore skips (and
 // counts) malformed lines instead of failing — everything before the torn
@@ -25,16 +30,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/telemetry/event_log.hpp"
 #include "service/request.hpp"
-#include "util/annotations.hpp"
-#include "util/lock_ranks.hpp"
-#include "util/mutex.hpp"
 
 namespace mpas::service {
 
@@ -44,33 +46,26 @@ class SessionJournal {
   SessionJournal(const SessionJournal&) = delete;
   SessionJournal& operator=(const SessionJournal&) = delete;
 
-  /// Open `path` for append and write this process's "epoch" line. The
+  /// Open `path` for append and record this process's "epoch" fact. The
   /// epoch number is 1 + the count of epoch lines already present.
   void open(const std::string& path);
   void close();
 
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] bool enabled() const { return log_.enabled(); }
   /// This process's epoch (0 while closed).
   [[nodiscard]] int epoch() const {
     return epoch_.load(std::memory_order_relaxed);
   }
 
-  /// Append one record (no-op while closed); flushed per line.
-  void append(const std::string& kind, const std::string& tenant,
-              std::uint64_t session, const std::string& attrs = {});
+  /// Append one fact (no-op while closed); flushed per line. Service code
+  /// goes through record_fact, which also writes the other sinks.
+  void append(const obs::telemetry::WideEvent& fact) { log_.emit(fact); }
 
-  [[nodiscard]] std::string path() const;
+  [[nodiscard]] std::string path() const { return log_.path(); }
 
  private:
-  std::atomic<bool> enabled_{false};
+  obs::telemetry::EventLog log_;
   std::atomic<int> epoch_{0};
-  // Leaf-rank sink mutex, same contract as the event log's.
-  mutable util::Mutex mutex_{"service.journal",
-                             util::lockrank::kSessionJournal};
-  std::ofstream out_ MPAS_GUARDED_BY(mutex_);
-  std::string path_ MPAS_GUARDED_BY(mutex_);
 };
 
 /// One session's folded journal history.

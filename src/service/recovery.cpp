@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "resilience/durable/store.hpp"
+#include "service/facts.hpp"
 #include "service/journal.hpp"
 #include "service/session_manager.hpp"
 #include "util/logging.hpp"
@@ -67,21 +67,14 @@ std::vector<RecoveryOutcome> RecoveryManager::recover(SessionManager& manager) {
       // new session instead of double-running this one. A refusal leaves
       // the journal untouched: the session stays incomplete and is retried
       // at the next restart.
-      if (journal_ != nullptr)
-        journal_->append(
-            "readmitted", dead.tenant, dead.id,
-            obs::trace_arg("of_epoch",
-                           static_cast<std::int64_t>(dead.epoch)) +
-                "," + obs::trace_arg("as", static_cast<std::int64_t>(
-                                               outcome.new_id)));
+      record_fact(obs::telemetry::WideEvent("readmitted", dead.tenant, dead.id)
+                      .add("of_epoch", dead.epoch)
+                      .add("as", outcome.new_id)
+                      .add("from_step", outcome.resumed_from_step),
+                  nullptr, journal_);
       obs::MetricsRegistry::global()
           .counter("resilience.durable.recoveries")
           .add(1);
-      MPAS_TRACE_INSTANT_ARGS(
-          "durable:recover",
-          obs::trace_arg("old_id", outcome.old_id) + "," +
-              obs::trace_arg("new_id", outcome.new_id) + "," +
-              obs::trace_arg("from_step", outcome.resumed_from_step));
       MPAS_LOG_INFO << "recovery: session " << dead.id << " (epoch "
                     << dead.epoch << ") re-admitted as " << outcome.new_id
                     << ", resuming from step "

@@ -6,9 +6,10 @@
 #include <tuple>
 
 #include "mesh/mesh_cache.hpp"
-#include "obs/telemetry/event_log.hpp"
 #include "obs/trace.hpp"
 #include "service/durable_session.hpp"
+#include "service/facts.hpp"
+#include "service/journal.hpp"  // hash_hex
 #include "service/recovery.hpp"
 #include "sw/model.hpp"
 #include "sw/state_codec.hpp"
@@ -79,8 +80,11 @@ std::uint64_t reference_hash(int mesh_level, int test_case, int steps) {
 void run_session(const SessionRunContext& ctx, SessionResult& result) {
   MPAS_CHECK(ctx.request != nullptr && ctx.mesh != nullptr);
   const SessionRequest& req = *ctx.request;
-  namespace telemetry = obs::telemetry;
-  telemetry::FlightRecorder* flight = ctx.flight;
+  using obs::telemetry::WideEvent;
+  obs::telemetry::FlightRecorder* flight = ctx.flight;
+  const auto fact = [&ctx, &req](const char* kind) {
+    return WideEvent(kind, req.tenant, ctx.id);
+  };
 
   if (result.attempts <= req.chaos.fail_first_attempts) {
     std::ostringstream os;
@@ -97,55 +101,32 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
   hopts.metric_scope = "service.session" + std::to_string(ctx.id) + ".";
   resilience::health::SelfHealingHybrid sut(*ctx.mesh,
                                             params_for(*tc, *ctx.mesh), hopts);
-  if (flight != nullptr) {
-    // Black-box feed: every health transition this session's monitor sees
-    // lands in the ring (and the event log) as it happens. The listener
-    // runs *after* the monitor releases its mutex, so recording here never
-    // nests the recorder's lock under the monitor's.
-    const std::uint64_t id = ctx.id;
-    const std::string tenant = req.tenant;
-    sut.monitor().add_transition_listener(
-        [flight, id, tenant](const resilience::health::Transition& t) {
-          flight->record(telemetry::FlightKind::HealthTransition,
-                         static_cast<long>(t.step),
-                         t.entity + ": " + to_string(t.from) + " -> " +
-                             to_string(t.to) + " (" + t.reason + ")");
-          auto& events = telemetry::EventLog::global();
-          if (events.enabled())
-            events.emit("health", tenant, id,
-                        obs::trace_arg("entity", t.entity) + "," +
-                            obs::trace_arg("from",
-                                           std::string(to_string(t.from))) +
-                            "," +
-                            obs::trace_arg("to",
-                                           std::string(to_string(t.to))) +
-                            "," + obs::trace_arg("step", t.step));
-        });
-  }
-  if (flight != nullptr) {
-    // Same black-box treatment for model-drift alarms: the earliest gray-
-    // failure breadcrumb a postmortem has (the listener runs after the
-    // drift monitor released its mutex — same re-entrancy contract as the
-    // health transition listener above).
-    const std::uint64_t id = ctx.id;
-    const std::string tenant = req.tenant;
-    sut.drift().add_alarm_listener(
-        [flight, id, tenant](const obs::profiling::DriftAlarm& a) {
-          std::ostringstream os;
-          os << a.channel << ": measured/modeled drifted to " << a.ratio
-             << "x (baseline " << a.baseline << ")";
-          flight->record(telemetry::FlightKind::DriftAlarm,
-                         static_cast<long>(a.step), os.str(),
-                         static_cast<double>(a.ratio),
-                         static_cast<double>(a.baseline));
-          auto& events = telemetry::EventLog::global();
-          if (events.enabled())
-            events.emit("drift", tenant, id,
-                        obs::trace_arg("channel", a.channel) + "," +
-                            obs::trace_arg("ratio", a.ratio) + "," +
-                            obs::trace_arg("step", a.step));
-        });
-  }
+  // Black-box feed: every health transition this session's monitor sees
+  // is a fact as it happens. The listener runs *after* the monitor
+  // releases its mutex, so recording here never nests the recorder's lock
+  // under the monitor's.
+  sut.monitor().add_transition_listener(
+      [flight, fact](const resilience::health::Transition& t) {
+        record_fact(fact("health")
+                        .add("entity", t.entity)
+                        .add("from", to_string(t.from))
+                        .add("to", to_string(t.to))
+                        .add("reason", t.reason)
+                        .add("step", t.step),
+                    flight);
+      });
+  // Same treatment for model-drift alarms: the earliest gray-failure
+  // breadcrumb a postmortem has (the listener runs after the drift monitor
+  // released its mutex — same re-entrancy contract as above).
+  sut.drift().add_alarm_listener(
+      [flight, fact](const obs::profiling::DriftAlarm& a) {
+        record_fact(fact("drift")
+                        .add("channel", a.channel)
+                        .add("ratio", a.ratio)
+                        .add("baseline", a.baseline)
+                        .add("step", a.step),
+                    flight);
+      });
   sw::apply_initial_conditions(*tc, *ctx.mesh, sut.model().fields());
   int start_step = 0;
   if (ctx.resume != nullptr) {
@@ -167,23 +148,15 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
       start_step = static_cast<int>(ctx.resume->step);
       result.resumed_from_step = ctx.resume->step;
     }
-    if (flight != nullptr) {
-      std::ostringstream os;
-      os << "resumed from "
-         << (ctx.resume->step >= 0 ? "durable step " +
-                                         std::to_string(ctx.resume->step)
-                                   : std::string("step 0 (no checkpoint)"))
-         << " of session " << ctx.resume->from_id << " (epoch "
-         << ctx.resume->from_epoch << ")";
-      flight->record(telemetry::FlightKind::Recovery,
-                     static_cast<long>(start_step), os.str(),
-                     static_cast<double>(ctx.resume->generation));
-    }
-    MPAS_TRACE_INSTANT_ARGS(
-        "durable:resume",
-        obs::trace_arg("id", static_cast<std::int64_t>(ctx.id)) + "," +
-            obs::trace_arg("from_step",
-                           static_cast<std::int64_t>(start_step)));
+    // checkpoint_step -1: no durable generation survived, rerun from 0.
+    record_fact(fact("recovery")
+                    .add("phase", "resume")
+                    .add("step", start_step)
+                    .add("checkpoint_step", ctx.resume->step)
+                    .add("generation", ctx.resume->generation)
+                    .add("recovered_from", hash_hex(ctx.resume->from_id))
+                    .add("recovered_from_epoch", ctx.resume->from_epoch),
+                flight);
   }
   sut.initialize();
 
@@ -229,8 +202,8 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
       result.reason = os.str();
       result.reason_code = ReasonCode::CancelledByUser;
       result.modeled_seconds = spent;
-      if (flight != nullptr)
-        flight->record(telemetry::FlightKind::Cancel, s, result.reason);
+      record_fact(fact("cancel").add("step", s).add("reason", result.reason),
+                  flight);
       return;
     }
     if (req.deadline_modeled_s > 0 &&
@@ -247,10 +220,13 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
       result.replans = sut.replans();
       result.worst_drift_ratio = sut.drift().worst_ratio();
       result.drift_alarms = sut.drift().alarms();
-      if (flight != nullptr)
-        flight->record(telemetry::FlightKind::DeadlineCheck, s,
-                       result.reason, spent + sut.modeled_step_seconds(),
-                       req.deadline_modeled_s);
+      record_fact(fact("deadline_check")
+                      .add("step", s)
+                      .add("needed_modeled_s",
+                           spent + sut.modeled_step_seconds())
+                      .add("deadline_modeled_s", req.deadline_modeled_s)
+                      .add("reason", result.reason),
+                  flight);
       return;
     }
     if (s == req.chaos.quarantine_accel_at_step)
@@ -264,8 +240,8 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
       obs::TraceEvent ev;
       ev.kind = obs::TraceEvent::Kind::Complete;
       ev.name = "step";
-      ev.args = obs::trace_arg("step", static_cast<std::int64_t>(s)) + "," +
-                obs::trace_arg("modeled_s", step_seconds);
+      // A fact's attrs render as trace args too.
+      ev.args = WideEvent().add("step", s).add("modeled_s", step_seconds).attrs;
       ev.ts_us = step_start_us;
       ev.dur_us = tracer.now_us() - step_start_us;
       ev.track = track;
@@ -278,17 +254,8 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
 
     const int replans = sut.replans();
     if (replans != last_replans) {
-      if (flight != nullptr)
-        flight->record(telemetry::FlightKind::Replan, s,
-                       "schedule swap after health transition",
-                       static_cast<double>(replans));
-      auto& events = telemetry::EventLog::global();
-      if (events.enabled())
-        events.emit("replan", req.tenant, ctx.id,
-                    obs::trace_arg("step", static_cast<std::int64_t>(s)) +
-                        "," +
-                        obs::trace_arg("replans",
-                                       static_cast<std::int64_t>(replans)));
+      record_fact(fact("replan").add("step", s).add("replans", replans),
+                  flight);
       last_replans = replans;
       // The plan changed: the old EWMA band describes the old schedule.
       ewma = 0;
@@ -299,11 +266,12 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
     // breadcrumb a postmortem needs, even when the run still completed.
     if (ewma_samples >= kEwmaWarmupSteps) {
       const Real ratio = step_seconds / ewma;
-      if ((ratio < kExcursionLow || ratio > kExcursionHigh) &&
-          flight != nullptr) {
-        flight->record(telemetry::FlightKind::StepExcursion, s,
-                       "step time left the EWMA band", step_seconds, ewma);
-      }
+      if (ratio < kExcursionLow || ratio > kExcursionHigh)
+        record_fact(fact("step_excursion")
+                        .add("step", s)
+                        .add("step_modeled_s", step_seconds)
+                        .add("ewma_modeled_s", ewma),
+                    flight);
     }
     ewma = ewma_samples == 0 ? step_seconds
                              : (1 - kEwmaAlpha) * ewma +
@@ -336,12 +304,11 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
     // one (level, case, steps) key cost one extra run process-wide.
     result.diverged = result.state_hash !=
                       reference_hash(req.mesh_level, req.test_case, req.steps);
-    if (flight != nullptr)
-      flight->record(telemetry::FlightKind::Recovery, req.steps,
-                     result.diverged
-                         ? "recovered trajectory DIVERGED from reference"
-                         : "recovered trajectory bitwise-identical to "
-                           "reference");
+    record_fact(fact("recovery")
+                    .add("phase", "audit")
+                    .add("step", req.steps)
+                    .add("diverged", result.diverged),
+                flight);
     if (result.diverged)
       MPAS_LOG_ERROR << "session " << ctx.id
                      << " recovered but diverged from the reference "

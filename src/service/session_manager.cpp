@@ -7,9 +7,9 @@
 
 #include "analysis/lock_order.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry/event_log.hpp"
 #include "obs/trace.hpp"
 #include "resilience/fault_env.hpp"
+#include "service/facts.hpp"
 #include "service/session.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
@@ -20,6 +20,7 @@
 namespace mpas::service {
 
 namespace telemetry = obs::telemetry;
+using telemetry::WideEvent;
 
 // The manager dispatches sessions that run on per-session thread pools;
 // its lock must rank strictly below theirs (see DESIGN.md §14).
@@ -107,28 +108,19 @@ std::uint64_t SessionManager::submit_locked(
   rec->result.output_every_used = request.output_every;
   stats_.submitted += 1;
 
-  auto& events = telemetry::EventLog::global();
-  if (events.enabled())
-    events.emit("submit", request.tenant, id,
-                obs::trace_arg("level",
-                               static_cast<std::int64_t>(request.mesh_level)) +
-                    "," +
-                    obs::trace_arg("steps",
-                                   static_cast<std::int64_t>(request.steps)) +
-                    "," +
-                    obs::trace_arg("priority", static_cast<std::int64_t>(
-                                                   request.priority)));
+  record_fact(WideEvent("submit", request.tenant, id)
+                  .add("level", request.mesh_level)
+                  .add("steps", request.steps)
+                  .add("priority", request.priority));
 
   if (shutdown_) {
     rec->result.state = SessionState::Rejected;
     rec->result.reason = "service is shutting down";
     rec->result.reason_code = ReasonCode::RejectShutdown;
     stats_.rejected += 1;
-    if (events.enabled())
-      events.emit("reject", request.tenant, id,
-                  obs::trace_arg("code",
-                                 std::string(to_string(
-                                     ReasonCode::RejectShutdown))));
+    record_fact(WideEvent("reject", request.tenant, id)
+                    .add("code", to_string(ReasonCode::RejectShutdown))
+                    .add("reason", rec->result.reason));
     records_.emplace(id, std::move(rec));
     publish_locked();
     done_cv_.notify_all();
@@ -155,15 +147,11 @@ std::uint64_t SessionManager::submit_locked(
     rec->result.admitted_cost = verdict.cost;
     stats_.rejected += 1;
     MPAS_LOG_WARN << "session " << id << " rejected: " << verdict.reason;
-    MPAS_TRACE_INSTANT_ARGS("service:reject",
-                            obs::trace_arg("id", static_cast<int64_t>(id)) +
-                                "," + obs::trace_arg("tenant", request.tenant));
-    if (events.enabled())
-      events.emit("reject", request.tenant, id,
-                  obs::trace_arg("code", std::string(to_string(
-                                             verdict.reason_code))) +
-                      "," + obs::trace_arg("cost", verdict.cost) + "," +
-                      obs::trace_arg("latency_us", latency_us));
+    record_fact(WideEvent("reject", request.tenant, id)
+                    .add("code", to_string(verdict.reason_code))
+                    .add("reason", verdict.reason)
+                    .add("cost", verdict.cost)
+                    .add("latency_us", latency_us));
     records_.emplace(id, std::move(rec));
     publish_locked();
     done_cv_.notify_all();
@@ -179,12 +167,10 @@ std::uint64_t SessionManager::submit_locked(
     // credit its tenant for it.
     stats_.admitted_seconds_by_tenant[it->second->result.tenant] -=
         it->second->result.admitted_cost;
-    if (events.enabled())
-      events.emit("shed", it->second->result.tenant, shed.id,
-                  obs::trace_arg("code", std::string(to_string(shed.code))) +
-                      "," +
-                      obs::trace_arg("displaced_by",
-                                     static_cast<std::int64_t>(id)));
+    record_fact(WideEvent("shed", it->second->result.tenant, shed.id)
+                    .add("code", to_string(shed.code))
+                    .add("displaced_by", id),
+                it->second->flight.get());
     finish_locked(*it->second, SessionState::Shed, shed.reason, shed.code);
   }
 
@@ -210,59 +196,33 @@ std::uint64_t SessionManager::submit_locked(
                     !rec->result.degraded, id);
 
   // Every admitted session gets a black box; its first entry is the
-  // admission verdict with the arithmetic that produced it.
+  // admission verdict with the arithmetic that produced it. The same fact
+  // is the durability WAL's admit record: it carries the *effective*
+  // request — the exact experiment to re-run — so recovery can re-admit it
+  // verbatim. The journal's lock is a leaf (rank above mutex_).
   rec->flight = std::make_unique<telemetry::FlightRecorder>();
-  rec->flight->record(telemetry::FlightKind::Admission, -1, verdict.reason,
-                      verdict.cost, admission_.tenant_budget(request.tenant));
-  if (events.enabled())
-    events.emit(rec->result.degraded ? "admit_degraded" : "admit",
-                request.tenant, id,
-                obs::trace_arg("code", std::string(to_string(
-                                           verdict.reason_code))) +
-                    "," + obs::trace_arg("cost", verdict.cost) + "," +
-                    obs::trace_arg("borrowed",
-                                   std::string(verdict.borrowed ? "true"
-                                                                : "false")) +
-                    "," + obs::trace_arg("latency_us", latency_us) + "," +
-                    obs::trace_arg("burn_rate", input.tenant_burn_rate));
-
-  // Durability WAL: the admit record carries the *effective* request — the
-  // exact experiment to re-run — so recovery can re-admit it verbatim. The
-  // journal's lock is a leaf (rank above mutex_); appending here is safe.
-  if (journal_.enabled()) {
-    std::string attrs =
-        obs::trace_arg("mesh_level", static_cast<std::int64_t>(
-                                         verdict.effective.mesh_level)) +
-        "," +
-        obs::trace_arg("test_case",
-                       static_cast<std::int64_t>(verdict.effective.test_case)) +
-        "," +
-        obs::trace_arg("steps",
-                       static_cast<std::int64_t>(verdict.effective.steps)) +
-        "," +
-        obs::trace_arg("output_every", static_cast<std::int64_t>(
-                                           verdict.effective.output_every)) +
-        "," +
-        obs::trace_arg("priority",
-                       static_cast<std::int64_t>(verdict.effective.priority)) +
-        "," +
-        obs::trace_arg("deadline_modeled_s",
-                       verdict.effective.deadline_modeled_s) +
-        "," +
-        obs::trace_arg("threads",
-                       static_cast<std::int64_t>(verdict.effective.threads)) +
-        "," +
-        obs::trace_arg("allow_degraded",
-                       static_cast<std::int64_t>(
-                           verdict.effective.allow_degraded ? 1 : 0));
-    if (resume.has_value())
-      attrs += "," +
-               obs::trace_arg("recovered_from", hash_hex(resume->from_id)) +
-               "," +
-               obs::trace_arg("recovered_from_epoch",
-                              static_cast<std::int64_t>(resume->from_epoch));
-    journal_.append("admit", request.tenant, id, attrs);
-  }
+  const SessionRequest& eff = verdict.effective;
+  WideEvent admit(rec->result.degraded ? "admit_degraded" : "admit",
+                  request.tenant, id);
+  admit.add("code", to_string(verdict.reason_code))
+      .add("reason", verdict.reason)
+      .add("cost", verdict.cost)
+      .add("budget", admission_.tenant_budget(request.tenant))
+      .add("borrowed", verdict.borrowed)
+      .add("latency_us", latency_us)
+      .add("burn_rate", input.tenant_burn_rate)
+      .add("mesh_level", eff.mesh_level)
+      .add("test_case", eff.test_case)
+      .add("steps", eff.steps)
+      .add("output_every", eff.output_every)
+      .add("priority", eff.priority)
+      .add("deadline_modeled_s", eff.deadline_modeled_s)
+      .add("threads", eff.threads)
+      .add("allow_degraded", eff.allow_degraded);
+  if (resume.has_value())
+    admit.add("recovered_from", hash_hex(resume->from_id))
+        .add("recovered_from_epoch", resume->from_epoch);
+  record_fact(std::move(admit), rec->flight.get(), &journal_);
   if (resume.has_value()) {
     rec->result.recovered = true;
     rec->result.recovered_from = resume->from_id;
@@ -297,15 +257,9 @@ void SessionManager::worker_loop(int worker_index) {
       Record& rec = *records_.at(id);
       rec.result.state = SessionState::Running;
       active_ += 1;
-      if (rec.flight != nullptr)
-        rec.flight->record(telemetry::FlightKind::Dispatch, -1,
-                           "picked by worker " +
-                               std::to_string(worker_index));
-      auto& events = telemetry::EventLog::global();
-      if (events.enabled())
-        events.emit("dispatch", rec.result.tenant, id,
-                    obs::trace_arg("worker", static_cast<std::int64_t>(
-                                                 worker_index)));
+      record_fact(WideEvent("dispatch", rec.result.tenant, id)
+                      .add("worker", worker_index),
+                  rec.flight.get());
       publish_locked();
     }
     run_one(id);
@@ -343,6 +297,15 @@ void SessionManager::run_one(std::uint64_t id) {
         opts_.durable, chain_dir, id, req.tenant, &journal_,
         resilience::env_fault_injector());
   }
+  // A session the journal just marked terminal can never be recovered: its
+  // checkpoint generations are dead weight, and so is its writer thread,
+  // which would otherwise idle until the manager is destroyed. File I/O
+  // and a join, so strictly after the lock.
+  const auto retire_durable = [&rec] {
+    if (rec.durable == nullptr) return;
+    rec.durable->retire();
+    rec.durable.reset();
+  };
 
   Real backoff_spent = 0;
   for (int attempt = 1; attempt <= opts_.max_attempts; ++attempt) {
@@ -371,10 +334,7 @@ void SessionManager::run_one(std::uint64_t id) {
         rec.result = local;
         finish_locked(rec, local.state, local.reason, local.reason_code);
       }
-      // A session the journal just marked terminal can never be recovered:
-      // its checkpoint generations are dead weight. File I/O, so strictly
-      // after the lock.
-      if (rec.durable != nullptr) rec.durable->retire();
+      retire_durable();
       flush_flight_dumps();
       return;
     } catch (const TransientError& e) {
@@ -386,16 +346,12 @@ void SessionManager::run_one(std::uint64_t id) {
       {
         const util::LockGuard lock(mutex_);
         stats_.retries += 1;
-        if (rec.flight != nullptr)
-          rec.flight->record(telemetry::FlightKind::Retry, -1,
-                             std::string("transient fault: ") + e.what(),
-                             backoff, backoff_spent);
-        auto& events = telemetry::EventLog::global();
-        if (events.enabled())
-          events.emit("retry", rec.result.tenant, id,
-                      obs::trace_arg("attempt",
-                                     static_cast<std::int64_t>(attempt)) +
-                          "," + obs::trace_arg("backoff_modeled_s", backoff));
+        record_fact(WideEvent("retry", rec.result.tenant, id)
+                        .add("attempt", attempt)
+                        .add("reason", e.what())
+                        .add("backoff_modeled_s", backoff)
+                        .add("backoff_spent_modeled_s", backoff_spent),
+                    rec.flight.get());
         std::ostringstream os;
         if (attempt == opts_.max_attempts) {
           os << "transient fault persisted through " << opts_.max_attempts
@@ -416,7 +372,7 @@ void SessionManager::run_one(std::uint64_t id) {
         }
       }
       if (terminal) {
-        if (rec.durable != nullptr) rec.durable->retire();
+        retire_durable();
         flush_flight_dumps();
         return;
       }
@@ -434,7 +390,7 @@ void SessionManager::run_one(std::uint64_t id) {
         finish_locked(rec, SessionState::Failed, os.str(),
                       ReasonCode::SessionFault);
       }
-      if (rec.durable != nullptr) rec.durable->retire();
+      retire_durable();
       flush_flight_dumps();
       return;
     }
@@ -490,60 +446,34 @@ void SessionManager::finish_locked(Record& rec, SessionState state,
         .set(static_cast<double>(worst));
   }
 
-  MPAS_TRACE_INSTANT_ARGS(
-      "service:terminal",
-      obs::trace_arg("id", static_cast<int64_t>(rec.result.id)) + "," +
-          obs::trace_arg("state", std::string(to_string(state))));
-  auto& events = telemetry::EventLog::global();
-  if (events.enabled())
-    events.emit(
-        "terminal", rec.result.tenant, rec.result.id,
-        obs::trace_arg("state", std::string(to_string(state))) + "," +
-            obs::trace_arg("code",
-                           std::string(to_string(rec.result.reason_code))) +
-            "," +
-            obs::trace_arg("steps_done", static_cast<std::int64_t>(
-                                             rec.result.steps_done)) +
-            "," +
-            obs::trace_arg("replans",
-                           static_cast<std::int64_t>(rec.result.replans)) +
-            "," +
-            obs::trace_arg("modeled_s", rec.result.modeled_seconds));
-
-  // Durability WAL: the terminal record is what makes a session complete
-  // in the replay — without it the next restart would re-admit this one.
-  // The journal's lock is a leaf above mutex_; appending here is safe.
-  if (journal_.enabled())
-    journal_.append(
-        "terminal", rec.result.tenant, rec.result.id,
-        obs::trace_arg("state", std::string(to_string(state))) + "," +
-            obs::trace_arg("steps_done",
-                           static_cast<std::int64_t>(rec.result.steps_done)) +
-            "," + obs::trace_arg("hash", hash_hex(rec.result.state_hash)) +
-            "," +
-            obs::trace_arg("recovered", static_cast<std::int64_t>(
-                                            rec.result.recovered ? 1 : 0)) +
-            "," +
-            obs::trace_arg("diverged", static_cast<std::int64_t>(
-                                           rec.result.diverged ? 1 : 0)));
+  // The terminal fact doubles as the durability WAL's terminal record: it
+  // is what makes a session complete in the replay — without it the next
+  // restart would re-admit this one. The journal's lock is a leaf above
+  // mutex_; appending here is safe.
+  record_fact(WideEvent("terminal", rec.result.tenant, rec.result.id)
+                  .add("state", to_string(state))
+                  .add("code", to_string(rec.result.reason_code))
+                  .add("reason", rec.result.reason)
+                  .add("steps_done", rec.result.steps_done)
+                  .add("replans", rec.result.replans)
+                  .add("modeled_s", rec.result.modeled_seconds)
+                  .add("hash", hash_hex(rec.result.state_hash))
+                  .add("recovered", rec.result.recovered)
+                  .add("diverged", rec.result.diverged),
+              rec.flight.get(), &journal_);
 
   // Black-box dump decision: terminal failure, quarantine involvement, or
   // dump-everything mode. The ring stays silent for healthy sessions. Only
   // the *decision* happens here — writing the file is I/O, which must not
   // run under mutex_, so the dump is queued for flush_flight_dumps().
   if (rec.flight != nullptr) {
-    rec.flight->record(telemetry::FlightKind::Terminal, -1,
-                       std::string(to_string(state)) + ": " +
-                           rec.result.reason);
     const bool failed =
         state == SessionState::Failed || state == SessionState::TimedOut;
     const bool quarantine_involved =
-        rec.result.replans > 0 ||
-        rec.flight->count(telemetry::FlightKind::HealthTransition) > 0;
+        rec.result.replans > 0 || rec.flight->count("health") > 0;
     // Crash-recovered sessions always leave a black box: the recovery
     // audit (obs_query mode=recovery) reads resume/divergence from it.
-    const bool recovery_involved =
-        rec.flight->count(telemetry::FlightKind::Recovery) > 0;
+    const bool recovery_involved = rec.flight->count("recovery") > 0;
     if (flight_dump_.should_dump(failed,
                                  quarantine_involved || recovery_involved)) {
       const std::string trigger = failed               ? "failure"
@@ -553,7 +483,7 @@ void SessionManager::finish_locked(Record& rec, SessionState state,
       pending_dumps_.push_back(
           {rec.flight.get(), flight_dump_.dir,
            flight_dump_.dir + "/flight_session" +
-               std::to_string(rec.result.id) + ".json",
+               std::to_string(rec.result.id) + ".jsonl",
            rec.result.id, rec.result.tenant, trigger});
     }
   }
@@ -571,18 +501,23 @@ void SessionManager::flush_flight_dumps() {
     if (pending_dumps_.empty()) return;
     dumps.swap(pending_dumps_);
   }
-  auto& events = telemetry::EventLog::global();
   for (const PendingDump& dump : dumps) {
     std::error_code ec;
     std::filesystem::create_directories(dump.dir, ec);
-    if (dump.flight->dump_to_file(dump.path, dump.id, dump.tenant,
-                                  dump.trigger)) {
+    // The dump's first line is this fact, stamped before the write so the
+    // event log receives the same bytes once the file is on disk.
+    const std::uint64_t recorded = dump.flight->recorded();
+    WideEvent header("flight_dump", dump.tenant, dump.id);
+    header.add("trigger", dump.trigger)
+        .add("path", dump.path)
+        .add("capacity", dump.flight->capacity())
+        .add("recorded", recorded)
+        .add("dropped", recorded - dump.flight->size());
+    header.ts_s = monotonic_seconds();
+    if (dump.flight->dump_to_file(dump.path, header)) {
       MPAS_LOG_INFO << "session " << dump.id << " flight recorder dumped to "
                     << dump.path << " (" << dump.trigger << ")";
-      if (events.enabled())
-        events.emit("flight_dump", dump.tenant, dump.id,
-                    obs::trace_arg("path", dump.path) + "," +
-                        obs::trace_arg("trigger", dump.trigger));
+      record_fact(std::move(header));
       const util::LockGuard lock(mutex_);
       stats_.flight_dumps += 1;
       publish_locked();
@@ -604,20 +539,10 @@ void SessionManager::record_slo_locked(const std::string& tenant,
   registry.gauge(base + ".burn_rate").set(sample.burn_rate);
   if (!sample.breach) return;
   stats_.slo_breaches += 1;
-  MPAS_TRACE_INSTANT_ARGS(
-      "slo:breach",
-      obs::trace_arg("tenant", tenant) + "," +
-          obs::trace_arg("dimension",
-                         std::string(telemetry::to_string(dimension))) +
-          "," + obs::trace_arg("attainment", sample.attainment) + "," +
-          obs::trace_arg("burn_rate", sample.burn_rate));
-  auto& events = telemetry::EventLog::global();
-  if (events.enabled())
-    events.emit("slo_breach", tenant, session,
-                obs::trace_arg("dimension",
-                               std::string(telemetry::to_string(dimension))) +
-                    "," + obs::trace_arg("attainment", sample.attainment) +
-                    "," + obs::trace_arg("burn_rate", sample.burn_rate));
+  record_fact(WideEvent("slo_breach", tenant, session)
+                  .add("dimension", telemetry::to_string(dimension))
+                  .add("attainment", sample.attainment)
+                  .add("burn_rate", sample.burn_rate));
 }
 
 bool SessionManager::cancel(std::uint64_t id) {

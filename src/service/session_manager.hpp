@@ -151,13 +151,13 @@ class SessionManager {
     /// Crash-recovery restore point (recovered sessions only).
     std::optional<ResumeState> resume;
     /// Durable checkpointer, created by run_one *outside* the manager lock
-    /// (opening the store is file I/O). unique_ptr for the same stable-
-    /// address reason as the flight recorder.
+    /// (opening the store is file I/O) and released at terminal. unique_ptr
+    /// for the same stable-address reason as the flight recorder.
     std::unique_ptr<SessionCheckpointer> durable;
   };
 
   /// A flight-recorder dump decided under the lock but executed after it:
-  /// directory creation and the JSON write are file I/O, which must never
+  /// directory creation and the JSONL write are file I/O, which must never
   /// run under mutex_ (the concurrency lint enforces this). The recorder
   /// pointer stays valid because records_ holds the owning unique_ptr for
   /// the manager's whole lifetime.
@@ -186,8 +186,8 @@ class SessionManager {
       MPAS_REQUIRES(mutex_);
   /// Write out dumps queued by finish_locked, outside the lock.
   void flush_flight_dumps() MPAS_EXCLUDES(mutex_);
-  /// Fold one SLO sample, publish service.slo.* gauges, and raise the
-  /// slo:breach instant / event on a breach (lock held).
+  /// Fold one SLO sample, publish service.slo.* gauges, and record the
+  /// slo_breach fact on a breach (lock held).
   void record_slo_locked(const std::string& tenant,
                          obs::telemetry::SloDimension dimension, bool ok,
                          std::uint64_t session) MPAS_REQUIRES(mutex_);

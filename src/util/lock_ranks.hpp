@@ -58,7 +58,6 @@ inline constexpr int kPerfProfiler = 59;      // obs.profiler
 inline constexpr int kSlo = 60;               // obs.slo
 inline constexpr int kFlightRecorder = 62;    // obs.flight_recorder
 inline constexpr int kEventLog = 64;          // obs.event_log
-inline constexpr int kSessionJournal = 65;    // service.journal
 inline constexpr int kMetricsSession = 66;    // obs.metrics.session
 inline constexpr int kMetrics = 68;           // obs.metrics
 inline constexpr int kTraceSession = 76;      // obs.trace.session

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -28,7 +29,7 @@
 
 #include "mesh/mesh_cache.hpp"
 #include "obs/json.hpp"
-#include "obs/trace.hpp"
+#include "obs/telemetry/event_log.hpp"
 #include "resilience/durable/format.hpp"
 #include "resilience/durable/store.hpp"
 #include "resilience/durable/writer.hpp"
@@ -510,6 +511,7 @@ namespace mpas::service {
 namespace {
 
 namespace fs = std::filesystem;
+using obs::telemetry::WideEvent;
 using resilience::durable::CheckpointImage;
 using TempDir = resilience::durable::TempDir;
 
@@ -531,20 +533,19 @@ TEST(SessionJournal, AppendReplayRoundTripsAndFoldsEpochs) {
   journal.open(path);
   EXPECT_TRUE(journal.enabled());
   EXPECT_EQ(journal.epoch(), 1);
-  journal.append("admit", "gold", 1,
-                 obs::trace_arg("mesh_level", std::int64_t{2}) + "," +
-                     obs::trace_arg("test_case", std::int64_t{5}) + "," +
-                     obs::trace_arg("steps", std::int64_t{8}) + "," +
-                     obs::trace_arg("output_every", std::int64_t{2}));
-  journal.append("progress", "gold", 1,
-                 obs::trace_arg("step", std::int64_t{4}) + "," +
-                     obs::trace_arg("generation", std::uint64_t{2}) + "," +
-                     obs::trace_arg("hash", hash_hex(0xDEADBEEFCAFEF00Dull)));
-  journal.append("admit", "silver", 2,
-                 obs::trace_arg("steps", std::int64_t{6}));
-  journal.append("terminal", "silver", 2,
-                 obs::trace_arg("state", "completed") + "," +
-                     obs::trace_arg("diverged", std::int64_t{0}));
+  journal.append(WideEvent("admit", "gold", 1)
+                     .add("mesh_level", 2)
+                     .add("test_case", 5)
+                     .add("steps", 8)
+                     .add("output_every", 2));
+  journal.append(WideEvent("progress", "gold", 1)
+                     .add("step", 4)
+                     .add("generation", std::uint64_t{2})
+                     .add("hash", hash_hex(0xDEADBEEFCAFEF00Dull)));
+  journal.append(WideEvent("admit", "silver", 2).add("steps", 6));
+  journal.append(WideEvent("terminal", "silver", 2)
+                     .add("state", "completed")
+                     .add("diverged", false));
   journal.close();
 
   // Reopen: the journal spans restarts, so epoch 2 extends the same file.
@@ -584,7 +585,7 @@ TEST(SessionJournal, TornFinalLineIsSkippedNeverFatal) {
   const std::string path = (fs::path(dir.path()) / "journal.jsonl").string();
   SessionJournal journal;
   journal.open(path);
-  journal.append("admit", "a", 1, obs::trace_arg("steps", std::int64_t{4}));
+  journal.append(WideEvent("admit", "a", 1).add("steps", 4));
   journal.close();
   {
     // A SIGKILL tears at most the final line: append half a record.
@@ -596,6 +597,86 @@ TEST(SessionJournal, TornFinalLineIsSkippedNeverFatal) {
   EXPECT_EQ(replay.malformed_lines, 1u);
   ASSERT_EQ(replay.sessions.size(), 1u);
   EXPECT_TRUE(replay.sessions.at({1, 1}).admitted);
+}
+
+// A journal written by a build from before facts carried typed attrs: the
+// flags are 0/1 numbers, and replay must still read them.
+TEST(SessionJournal, ReplayReadsNumericFlagsOfOlderJournals) {
+  TempDir dir("numeric");
+  const std::string path = (fs::path(dir.path()) / "journal.jsonl").string();
+  {
+    std::ofstream out(path);
+    out << R"({"ts":1,"tenant":"","session":0,"kind":"epoch",)"
+        << R"("attrs":{"epoch":1}})" << '\n'
+        << R"({"ts":2,"tenant":"a","session":1,"kind":"admit",)"
+        << R"("attrs":{"steps":4,"allow_degraded":0}})" << '\n'
+        << R"({"ts":3,"tenant":"a","session":1,"kind":"terminal",)"
+        << R"("attrs":{"state":"completed","diverged":1}})" << '\n';
+  }
+  const JournalReplay replay = replay_journal(path);
+  EXPECT_EQ(replay.malformed_lines, 0u);
+  const JournalSession& s = replay.sessions.at({1, 1});
+  EXPECT_FALSE(s.request.allow_degraded);
+  EXPECT_TRUE(s.terminal_diverged);
+}
+
+// What a SessionManager journals at admission is what recovery replays:
+// the effective request of a degraded admission, field by field, with the
+// deadline bit for bit.
+TEST(SessionJournal, ReplayReturnsTheEffectiveRequestBitwise) {
+  TempDir dir("effective");
+  SessionRequest req;
+  req.tenant = "gold";
+  req.mesh_level = 3;
+  req.test_case = 5;
+  req.steps = 6;
+  req.output_every = 2;
+  req.priority = 2;
+  req.deadline_modeled_s = 1234.56789012345;
+  req.threads = 1;
+  req.allow_degraded = true;
+  SessionRequest degraded = req;
+  degraded.mesh_level = 2;
+  degraded.output_every = 4;
+
+  const CostModel costs;
+  ServiceOptions opts;
+  opts.workers = 1;
+  opts.durable.dir = dir.path();
+  // Room for the level-2 run but not the level-3 one: the ladder degrades.
+  opts.admission.capacity_modeled_s =
+      (costs.price(degraded) + costs.price(req)) / 2;
+  ASSERT_LT(costs.price(degraded), opts.admission.capacity_modeled_s);
+  std::uint64_t id = 0;
+  {
+    SessionManager manager(opts);
+    manager.set_paused(true);  // journaled at admission; it need not run
+    id = manager.submit(req);
+    const SessionResult r = manager.result(id);
+    ASSERT_EQ(r.state, SessionState::Queued) << r.reason;
+    ASSERT_TRUE(r.degraded);
+    ASSERT_EQ(r.mesh_level_used, degraded.mesh_level);
+    ASSERT_EQ(r.output_every_used, degraded.output_every);
+  }
+
+  const JournalReplay replay = replay_journal(opts.durable.journal_path());
+  EXPECT_EQ(replay.malformed_lines, 0u);
+  ASSERT_EQ(replay.sessions.count({1, id}), 1u);
+  const JournalSession& s = replay.sessions.at({1, id});
+  EXPECT_TRUE(s.admitted);
+  EXPECT_EQ(s.tenant, degraded.tenant);
+  const SessionRequest& got = s.request;
+  EXPECT_EQ(got.tenant, degraded.tenant);
+  EXPECT_EQ(got.mesh_level, degraded.mesh_level);
+  EXPECT_EQ(got.test_case, degraded.test_case);
+  EXPECT_EQ(got.steps, degraded.steps);
+  EXPECT_EQ(got.output_every, degraded.output_every);
+  EXPECT_EQ(got.priority, degraded.priority);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.deadline_modeled_s),
+            std::bit_cast<std::uint64_t>(degraded.deadline_modeled_s))
+      << got.deadline_modeled_s;
+  EXPECT_EQ(got.threads, degraded.threads);
+  EXPECT_EQ(got.allow_degraded, degraded.allow_degraded);
 }
 
 TEST(SessionJournal, MissingFileIsAnEmptyReplay) {
@@ -669,16 +750,15 @@ class ServiceRecovery : public ::testing::Test {
     SessionJournal journal;
     journal.open(p.journal_path());
     const SessionRequest req = request();
-    journal.append(
-        "admit", req.tenant, 1,
-        obs::trace_arg("mesh_level", std::int64_t{req.mesh_level}) + "," +
-            obs::trace_arg("test_case", std::int64_t{req.test_case}) + "," +
-            obs::trace_arg("steps", std::int64_t{req.steps}) + "," +
-            obs::trace_arg("output_every", std::int64_t{req.output_every}) +
-            "," + obs::trace_arg("priority", std::int64_t{req.priority}) +
-            "," + obs::trace_arg("deadline_modeled_s", Real{0}) + "," +
-            obs::trace_arg("threads", std::int64_t{0}) + "," +
-            obs::trace_arg("allow_degraded", std::int64_t{1}));
+    journal.append(WideEvent("admit", req.tenant, 1)
+                       .add("mesh_level", req.mesh_level)
+                       .add("test_case", req.test_case)
+                       .add("steps", req.steps)
+                       .add("output_every", req.output_every)
+                       .add("priority", req.priority)
+                       .add("deadline_modeled_s", Real{0})
+                       .add("threads", 0)
+                       .add("allow_degraded", true));
     journal.close();
   }
 
@@ -877,11 +957,11 @@ TEST_F(ServiceRecovery, SigkilledSoakRecoversBitwiseWithFlightDump) {
   ASSERT_TRUE(fs::exists(opts.flight_dump.dir));
   for (const auto& entry : fs::directory_iterator(opts.flight_dump.dir)) {
     std::ifstream in(entry.path());
-    const std::string text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    const auto doc = obs::json::parse(text);  // throws if torn
-    (void)doc;
-    if (text.find("\"recovery\"") != std::string::npos) recovery_dumped = true;
+    std::string line;
+    while (std::getline(in, line)) {
+      const auto fact = obs::json::parse(line);  // throws if torn
+      if (fact.at("kind").as_string() == "recovery") recovery_dumped = true;
+    }
   }
   EXPECT_TRUE(recovery_dumped);
 

@@ -3,17 +3,22 @@
 // dispatch fairness, refcounted mesh sharing, and the SessionManager's
 // end-to-end guarantees — bitwise-correct admitted runs, retry with
 // modeled backoff, cooperative cancellation, modeled deadlines, and
-// per-session fault isolation under a mid-run quarantine.
+// per-session fault isolation under a mid-run quarantine — and that each
+// service fact is one line, byte-identical in every sink that writes it.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/telemetry/event_log.hpp"
 #include "obs/telemetry/flight_recorder.hpp"
 #include "obs/telemetry/slo.hpp"
 #include "service/admission.hpp"
@@ -427,6 +432,15 @@ TEST(SessionManager, SaturationSharesFollowTenantWeights) {
 
 // -------------------------------------------------- slo + flight recorder
 
+/// Every line of a text file, verbatim.
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
 TEST(SessionManager, SloTrackerFollowsSessionOutcomes) {
   ServiceOptions opts = small_service(1);
   SessionManager service(opts);
@@ -470,30 +484,114 @@ TEST(SessionManager, FailureDumpsTheFlightRecorder) {
   // output-free.
   EXPECT_EQ(service.stats().flight_dumps, 1u);
   const std::string ok_path =
-      dir + "/flight_session" + std::to_string(ok_id) + ".json";
+      dir + "/flight_session" + std::to_string(ok_id) + ".jsonl";
   EXPECT_FALSE(std::filesystem::exists(ok_path));
 
   const std::string bad_path =
-      dir + "/flight_session" + std::to_string(bad_id) + ".json";
-  std::ifstream in(bad_path);
-  ASSERT_TRUE(in.good()) << bad_path;
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  const auto doc = obs::json::parse(text);
-  EXPECT_EQ(doc.at("trigger").as_string(), "failure");
-  EXPECT_EQ(doc.at("tenant").as_string(), "doomed");
-  EXPECT_DOUBLE_EQ(doc.at("session").as_number(),
+      dir + "/flight_session" + std::to_string(bad_id) + ".jsonl";
+  ASSERT_TRUE(std::filesystem::exists(bad_path)) << bad_path;
+  std::vector<obs::json::Value> lines;
+  for (const std::string& line : read_lines(bad_path))
+    lines.push_back(obs::json::parse(line));
+  ASSERT_FALSE(lines.empty());
+  // The first line is the flight_dump fact naming the trigger.
+  const obs::json::Value& head = lines.front();
+  EXPECT_EQ(head.at("kind").as_string(), "flight_dump");
+  EXPECT_EQ(head.at("attrs").at("trigger").as_string(), "failure");
+  EXPECT_EQ(head.at("tenant").as_string(), "doomed");
+  EXPECT_DOUBLE_EQ(head.at("session").as_number(),
                    static_cast<double>(bad_id));
   // The box replays the session's fate: admission, dispatch, the retry
   // storm, and the terminal verdict.
   std::map<std::string, int> kinds;
-  for (const auto& e : doc.at("events").as_array())
-    kinds[e.at("kind").as_string()] += 1;
-  EXPECT_EQ(kinds["admission"], 1);
+  for (std::size_t i = 1; i < lines.size(); ++i)
+    kinds[lines[i].at("kind").as_string()] += 1;
+  EXPECT_EQ(kinds["admit"], 1);
   EXPECT_EQ(kinds["dispatch"], 1);
   EXPECT_GE(kinds["retry"], 2);
   EXPECT_EQ(kinds["terminal"], 1);
   std::filesystem::remove_all(dir);
+}
+
+// ----------------------------------------------------------- service facts
+
+// One fact, one line: the event log, the durability journal and every
+// flight dump write the same bytes for the same fact, so each admitted
+// session's admission and fate read identically in all three files.
+TEST(ServiceFacts, EverySinkWritesTheSameLine) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("mpas_service_facts_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string events_path = (dir / "events.jsonl").string();
+  auto& events = obs::telemetry::EventLog::global();
+  events.open(events_path);
+
+  ServiceOptions opts = small_service(1);
+  opts.durable.dir = (dir / "durable").string();
+  opts.durable.every = 2;
+  const std::string flight_dir = (dir / "flight").string();
+  opts.flight_dump =
+      obs::telemetry::FlightDumpPolicy::parse("all:" + flight_dir);
+  std::vector<std::uint64_t> admitted;
+  {
+    SessionManager service(opts);
+    service.set_paused(true);
+    const auto fine = service.submit(small_request("fine"));
+    SessionRequest doomed = small_request("doomed");
+    doomed.chaos.fail_first_attempts = 100;
+    const auto bad = service.submit(doomed);
+    const auto queued = service.submit(small_request("impatient"));
+    ASSERT_TRUE(service.cancel(queued));
+    service.set_paused(false);
+    ASSERT_TRUE(service.drain());
+    EXPECT_EQ(service.result(fine).state, SessionState::Completed);
+    EXPECT_EQ(service.result(bad).state, SessionState::Failed);
+    EXPECT_EQ(service.result(queued).state, SessionState::Cancelled);
+    admitted = {fine, bad, queued};
+  }
+  events.close();
+
+  const std::vector<std::string> log = read_lines(events_path);
+  const std::set<std::string> logged(log.begin(), log.end());
+  const std::vector<std::string> journal =
+      read_lines(opts.durable.journal_path());
+  ASSERT_FALSE(journal.empty());
+  for (const std::string& line : journal)
+    EXPECT_TRUE(logged.count(line) == 1) << "journal line not logged: "
+                                         << line;
+
+  // Admit and terminal lines of `id` in one file.
+  const auto count = [](const std::vector<std::string>& lines,
+                        std::uint64_t id, bool admit) {
+    int n = 0;
+    for (const std::string& line : lines) {
+      const auto v = obs::json::parse(line);
+      const std::string kind = v.at("kind").as_string();
+      const bool match = admit ? kind == "admit" || kind == "admit_degraded"
+                               : kind == "terminal";
+      if (match && v.at("session").as_number() == static_cast<double>(id))
+        n += 1;
+    }
+    return n;
+  };
+  for (const std::uint64_t id : admitted) {
+    const std::string dump_path =
+        flight_dir + "/flight_session" + std::to_string(id) + ".jsonl";
+    const std::vector<std::string> dump = read_lines(dump_path);
+    ASSERT_GE(dump.size(), 2u) << dump_path;
+    EXPECT_EQ(obs::json::parse(dump[0]).at("kind").as_string(),
+              "flight_dump");
+    for (std::size_t i = 1; i < dump.size(); ++i)
+      EXPECT_TRUE(logged.count(dump[i]) == 1) << "dump line not logged: "
+                                              << dump[i];
+    for (const auto* file : {&log, &journal, &dump}) {
+      EXPECT_EQ(count(*file, id, true), 1) << "session " << id;
+      EXPECT_EQ(count(*file, id, false), 1) << "session " << id;
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

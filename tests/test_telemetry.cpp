@@ -1,13 +1,15 @@
 // Telemetry layer contract: SLO rolling-window and burn-rate arithmetic,
 // policy environment overrides, the flight recorder's ring semantics and
-// JSON dump (parsed back with the in-repo reader), the MPAS_FLIGHT_DUMP
-// grammar, the wide-event JSONL sink, and the steady-state overhead
-// budget (same style as the disabled-tracing budget in test_obs.cpp).
+// JSONL dump (parsed back with the in-repo reader), the MPAS_FLIGHT_DUMP
+// grammar, the wide-event JSONL sink and its typed attrs, and the
+// steady-state overhead budget (same style as the disabled-tracing budget
+// in test_obs.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -131,10 +133,26 @@ TEST(SloPolicy, FromEnvOverridesAndFallsBackOnGarbage) {
 
 // -------------------------------------------------------- flight recorder
 
+/// A stamped fact as the service records it.
+WideEvent fact(const std::string& kind, double ts_s) {
+  WideEvent event(kind, "gold", 7);
+  event.ts_s = ts_s;
+  return event;
+}
+
+/// Every line of a JSONL file, parsed.
+std::vector<json::Value> read_jsonl(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::vector<json::Value> lines;
+  while (std::getline(in, line)) lines.push_back(json::parse(line));
+  return lines;
+}
+
 TEST(FlightRecorder, RingOverwritesOldestPastCapacity) {
   FlightRecorder recorder(4);
   for (int i = 0; i < 6; ++i)
-    recorder.record(FlightKind::DeadlineCheck, i, "step check", i, 2 * i);
+    recorder.record(fact("deadline_check", i).add("step", i).add("a", i));
 
   EXPECT_EQ(recorder.recorded(), 6u);
   EXPECT_EQ(recorder.size(), 4u);
@@ -143,65 +161,91 @@ TEST(FlightRecorder, RingOverwritesOldestPastCapacity) {
   ASSERT_EQ(events.size(), 4u);
   // Oldest first, and the two earliest events were overwritten.
   for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, i + 2);
-    EXPECT_EQ(events[i].step, static_cast<long>(i + 2));
-    EXPECT_DOUBLE_EQ(events[i].a, static_cast<double>(i + 2));
+    EXPECT_DOUBLE_EQ(events[i].ts_s, static_cast<double>(i + 2));
+    const std::string n = std::to_string(i + 2);
+    EXPECT_EQ(events[i].attrs, "\"step\":" + n + ",\"a\":" + n);
   }
 }
 
 TEST(FlightRecorder, CountsHeldEventsByKind) {
   FlightRecorder recorder;
-  recorder.record(FlightKind::Admission, -1, "admitted");
-  recorder.record(FlightKind::Retry, 0, "attempt 1");
-  recorder.record(FlightKind::Retry, 0, "attempt 2");
-  EXPECT_EQ(recorder.count(FlightKind::Retry), 2u);
-  EXPECT_EQ(recorder.count(FlightKind::Admission), 1u);
-  EXPECT_EQ(recorder.count(FlightKind::Terminal), 0u);
+  recorder.record(fact("admit", 1));
+  recorder.record(fact("retry", 2));
+  recorder.record(fact("retry", 3));
+  EXPECT_EQ(recorder.count("retry"), 2u);
+  EXPECT_EQ(recorder.count("admit"), 1u);
+  EXPECT_EQ(recorder.count("terminal"), 0u);
 }
 
 TEST(FlightRecorder, ToJsonRoundTripsThroughReader) {
   FlightRecorder recorder(2);
-  recorder.record(FlightKind::Admission, -1, "cost 1.5 <= budget \"2\"", 1.5,
-                  2.0);
-  recorder.record(FlightKind::Retry, 3, "transient fault", 0.25, 0.25);
-  recorder.record(FlightKind::Terminal, 4, "completed");
+  recorder.record(
+      fact("admit", 1).add("reason", "cost 1.5 <= budget \"2\"").add("cost",
+                                                                     1.5));
+  recorder.record(fact("retry", 2).add("step", 3).add("backoff_modeled_s",
+                                                       0.25));
+  recorder.record(fact("terminal", 3).add("state", "completed"));
+  EXPECT_EQ(recorder.recorded(), 3u);
 
-  const auto doc = json::parse(recorder.to_json(7, "gold", "failure"));
-  EXPECT_DOUBLE_EQ(doc.at("session").as_number(), 7);
-  EXPECT_EQ(doc.at("tenant").as_string(), "gold");
-  EXPECT_EQ(doc.at("trigger").as_string(), "failure");
-  EXPECT_DOUBLE_EQ(doc.at("capacity").as_number(), 2);
-  EXPECT_DOUBLE_EQ(doc.at("recorded").as_number(), 3);
-  EXPECT_DOUBLE_EQ(doc.at("dropped").as_number(), 1);  // admission fell out
-
-  const auto& events = doc.at("events").as_array();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].at("kind").as_string(), "retry");
-  EXPECT_DOUBLE_EQ(events[0].at("step").as_number(), 3);
-  EXPECT_DOUBLE_EQ(events[0].at("a").as_number(), 0.25);
-  EXPECT_EQ(events[1].at("kind").as_string(), "terminal");
-  EXPECT_LE(events[0].at("ts").as_number(), events[1].at("ts").as_number());
+  // The admission fell out of the 2-slot ring; each held fact reads back
+  // from its event-log line with every attr intact.
+  const auto held = recorder.events();
+  ASSERT_EQ(held.size(), 2u);
+  const auto retry = json::parse(to_jsonl(held[0]));
+  EXPECT_EQ(retry.at("kind").as_string(), "retry");
+  EXPECT_EQ(retry.at("tenant").as_string(), "gold");
+  EXPECT_DOUBLE_EQ(retry.at("session").as_number(), 7);
+  EXPECT_DOUBLE_EQ(retry.at("attrs").at("step").as_number(), 3);
+  EXPECT_DOUBLE_EQ(retry.at("attrs").at("backoff_modeled_s").as_number(),
+                   0.25);
+  const auto terminal = json::parse(to_jsonl(held[1]));
+  EXPECT_EQ(terminal.at("kind").as_string(), "terminal");
+  EXPECT_EQ(terminal.at("attrs").at("state").as_string(), "completed");
+  EXPECT_LE(retry.at("ts").as_number(), terminal.at("ts").as_number());
 }
 
 TEST(FlightRecorder, DumpToFileWritesParseableJson) {
-  FlightRecorder recorder;
-  recorder.record(FlightKind::HealthTransition, 2,
-                  "accel0: Healthy -> Quarantined (chaos)");
-  const std::string path = "test_flight_dump.json";
-  ASSERT_TRUE(recorder.dump_to_file(path, 1, "a", "quarantine"));
+  FlightRecorder recorder(2);
+  recorder.record(fact("health", 1)
+                      .add("entity", "accel")
+                      .add("from", "healthy")
+                      .add("to", "quarantined")
+                      .add("reason", "chaos")
+                      .add("step", 2));
+  recorder.record(fact("terminal", 2).add("state", "completed"));
+  recorder.record(fact("flight_dump", 3));  // not held: see `dropped`
+  WideEvent header = fact("flight_dump", 4);
+  header.add("trigger", "quarantine")
+      .add("capacity", recorder.capacity())
+      .add("recorded", recorder.recorded())
+      .add("dropped", recorder.recorded() - recorder.size());
+  const std::string path = "test_flight_dump.jsonl";
+  ASSERT_TRUE(recorder.dump_to_file(path, header));
 
+  // Line for line the event log's format: the header, then the held
+  // facts oldest first.
   std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const auto doc = json::parse(text);
-  EXPECT_EQ(doc.at("trigger").as_string(), "quarantine");
-  ASSERT_EQ(doc.at("events").as_array().size(), 1u);
-  EXPECT_EQ(doc.at("events").as_array()[0].at("kind").as_string(), "health");
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(in, line)) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0], to_jsonl(header));
+  const auto held = recorder.events();
+  EXPECT_EQ(lines[1], to_jsonl(held[0]));
+  EXPECT_EQ(lines[2], to_jsonl(held[1]));
+
+  const auto docs = read_jsonl(path);
+  const auto& head = docs[0].at("attrs");
+  EXPECT_EQ(docs[0].at("kind").as_string(), "flight_dump");
+  EXPECT_EQ(head.at("trigger").as_string(), "quarantine");
+  EXPECT_DOUBLE_EQ(head.at("capacity").as_number(), 2);
+  EXPECT_DOUBLE_EQ(head.at("recorded").as_number(), 3);
+  EXPECT_DOUBLE_EQ(head.at("dropped").as_number(), 1);
+  EXPECT_EQ(docs[1].at("kind").as_string(), "terminal");
+  EXPECT_EQ(docs[2].at("kind").as_string(), "flight_dump");
   std::remove(path.c_str());
 
-  EXPECT_FALSE(
-      recorder.dump_to_file("no_such_dir/x.json", 1, "a", "failure"));
+  EXPECT_FALSE(recorder.dump_to_file("no_such_dir/x.jsonl", header));
 }
 
 TEST(FlightDumpPolicy, EnvGrammar) {
@@ -269,6 +313,43 @@ TEST(EventLog, EmitWritesJsonlAndParsesBack) {
   std::remove(path.c_str());
 }
 
+TEST(EventLog, AppendModeExtendsTruncateModeRestarts) {
+  const std::string path = "test_events_append.jsonl";
+  EventLog log;
+  log.open(path);
+  log.emit("first", "a", 1);
+  log.close();
+  log.open(path, EventLog::Mode::Append);
+  log.emit("second", "a", 1);
+  log.close();
+  ASSERT_EQ(read_jsonl(path).size(), 2u);
+  log.open(path);  // the default truncates
+  log.close();
+  EXPECT_TRUE(read_jsonl(path).empty());
+  std::remove(path.c_str());
+}
+
+TEST(WideEvent, TypedAttrsRenderExactly) {
+  WideEvent event("admit", "gold", 3);
+  const double deadline = 1234.56789012345;
+  event.add("deadline_modeled_s", deadline)
+      .add("steps", 8)
+      .add("id", std::uint64_t{1} << 63)
+      .add("offset", std::int64_t{-5})
+      .add("borrowed", true)
+      .add("reason", "a \"quoted\" reason")
+      .add("inf", std::numeric_limits<double>::infinity());
+  EXPECT_EQ(event.attrs,
+            "\"deadline_modeled_s\":1234.56789012345,\"steps\":8,"
+            "\"id\":9223372036854775808,\"offset\":-5,\"borrowed\":true,"
+            "\"reason\":\"a \\\"quoted\\\" reason\",\"inf\":0");
+  const auto attrs = json::parse(to_jsonl(event)).at("attrs");
+  // The double reads back bit for bit; a bool is a JSON bool.
+  EXPECT_EQ(attrs.at("deadline_modeled_s").as_number(), deadline);
+  EXPECT_TRUE(attrs.at("borrowed").as_bool());
+  EXPECT_EQ(attrs.at("reason").as_string(), "a \"quoted\" reason");
+}
+
 TEST(EventLog, ToJsonlEnvelopeSchema) {
   WideEvent event;
   event.ts_s = 1.25;
@@ -288,13 +369,13 @@ TEST(TelemetryOverhead, SteadyStateStaysUnderTwoPercentOfAStep) {
   // Cost of one flight-recorder event in steady state (ring full, the
   // allocation-free overwrite path every healthy session lives on).
   FlightRecorder recorder;
-  const std::string detail = "deadline check: spent 1.25 of 2.0";
+  WideEvent check("deadline_check", "gold", 7);
+  check.add("step", 4).add("needed_modeled_s", 1.25).add(
+      "deadline_modeled_s", 2.0);
   constexpr int kProbes = 200000;
-  for (std::size_t i = 0; i < recorder.capacity(); ++i)
-    recorder.record(FlightKind::DeadlineCheck, 0, detail);
+  for (std::size_t i = 0; i < recorder.capacity(); ++i) recorder.record(check);
   WallTimer record_timer;
-  for (int i = 0; i < kProbes; ++i)
-    recorder.record(FlightKind::DeadlineCheck, i, detail, 1.25, 2.0);
+  for (int i = 0; i < kProbes; ++i) recorder.record(check);
   const double per_record = record_timer.seconds() / kProbes;
 
   // Cost of one disarmed event-log probe (the enabled() check every emit

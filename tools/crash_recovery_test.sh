@@ -6,8 +6,9 @@
 # and then asserts the restarted service recovers: the incomplete session
 # is re-admitted, resumed from its newest intact checkpoint generation,
 # and lands bitwise-identical to the uninterrupted reference trajectory.
-# Finally audits the journal offline with obs_query mode=recovery and
-# checks that a parseable recovery flight dump was written.
+# Finally audits the journal offline with obs_query mode=recovery, reads
+# every flight dump with obs_query (each must parse and hold its session's
+# terminal fact), and requires one dump that records a recovery fact.
 #
 # Usage: tools/crash_recovery_test.sh <build_dir> <work_dir>
 set -euo pipefail
@@ -67,12 +68,15 @@ echo "== offline audit: journal folds clean, nothing incomplete"
 "$BUILD/examples/obs_query" "$CKPT/journal.jsonl" mode=recovery \
   require_recovered=1
 
-echo "== flight dump: a parseable recovery black box exists"
+echo "== flight dumps: each reads as an event log; one records the recovery"
 DUMPED=0
-for f in "$FLIGHT"/*.json; do
+for f in "$FLIGHT"/*.jsonl; do
   [ -e "$f" ] || continue
-  python3 -m json.tool "$f" > /dev/null
-  if grep -q '"recovery"' "$f"; then DUMPED=1; fi
+  "$BUILD/examples/obs_query" "$f" mode=summary require_kind=terminal
+  if "$BUILD/examples/obs_query" "$f" mode=summary require_kind=recovery \
+    > /dev/null; then
+    DUMPED=1
+  fi
 done
 if [ "$DUMPED" -ne 1 ]; then
   echo "FAIL: no flight dump records a recovery event" >&2
