@@ -1,46 +1,113 @@
 #include "obs/telemetry/event_log.hpp"
 
+#include <charconv>
 #include <cstdlib>
-#include <sstream>
 
-#include "obs/trace.hpp"  // trace_arg, json_escape, json_number
+#include "obs/trace.hpp"  // json_escape, json_number
 #include "util/timer.hpp"
 
 namespace mpas::obs::telemetry {
 
 namespace {
 
-WideEvent& append_member(WideEvent& event, const std::string& member) {
-  if (!event.attrs.empty()) event.attrs += ',';
-  event.attrs += member;
-  return event;
+template <typename Int>
+void append_integer(std::string& out, Int value) {
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out.append(buf, end);
+}
+
+void append_attrs(std::string& out, const std::vector<Attr>& attrs) {
+  for (std::size_t i = 0; i < attrs.size(); ++i) {
+    const Attr& attr = attrs[i];
+    if (i > 0) out += ',';
+    out += '"';
+    out += attr.key;
+    out += "\":";
+    if (const auto* d = std::get_if<double>(&attr.value)) {
+      out += json_number(*d);
+    } else if (const auto* n = std::get_if<std::int64_t>(&attr.value)) {
+      append_integer(out, *n);
+    } else if (const auto* u = std::get_if<std::uint64_t>(&attr.value)) {
+      append_integer(out, *u);
+    } else if (const auto* b = std::get_if<bool>(&attr.value)) {
+      out += *b ? "true" : "false";
+    } else {
+      out += '"';
+      out += json_escape(std::get<std::string>(attr.value));
+      out += '"';
+    }
+  }
+}
+
+// `{"ts":..,"tenant":..,"session":..,"kind":..` — the envelope without its
+// attrs and closing brace.
+std::string open_line(const WideEvent& event, double ts_s) {
+  std::string line = "{\"ts\":";
+  line += json_number(ts_s);
+  line += ",\"tenant\":\"";
+  line += json_escape(event.tenant);
+  line += "\",\"session\":";
+  append_integer(line, event.session);
+  line += ",\"kind\":\"";
+  line += json_escape(event.kind);
+  line += '"';
+  return line;
+}
+
+std::string render(const WideEvent& event, double ts_s) {
+  std::string line = open_line(event, ts_s);
+  if (!event.attrs.empty()) {
+    line += ",\"attrs\":{";
+    append_attrs(line, event.attrs);
+    line += '}';
+  }
+  line += '}';
+  return line;
+}
+
+// Room for a typical fact's attrs at its first add, so a fact is one
+// allocation however many attrs it carries.
+void reserve_attrs(std::vector<Attr>& attrs) {
+  if (attrs.capacity() == 0) attrs.reserve(8);
 }
 
 }  // namespace
 
-WideEvent& WideEvent::add(const char* key, double value) {
-  return append_member(*this, trace_arg(key, value));
+WideEvent& WideEvent::add(const char* key, double value) & {
+  reserve_attrs(attrs);
+  attrs.push_back({key, value});
+  return *this;
 }
 
-WideEvent& WideEvent::add(const char* key, std::int64_t value) {
-  return append_member(*this, trace_arg(key, value));
+WideEvent& WideEvent::add(const char* key, std::int64_t value) & {
+  reserve_attrs(attrs);
+  attrs.push_back({key, value});
+  return *this;
 }
 
-WideEvent& WideEvent::add(const char* key, std::uint64_t value) {
-  return append_member(*this, trace_arg(key, value));
+WideEvent& WideEvent::add(const char* key, std::uint64_t value) & {
+  reserve_attrs(attrs);
+  attrs.push_back({key, value});
+  return *this;
 }
 
-WideEvent& WideEvent::add(const char* key, bool value) {
-  return append_member(*this, '"' + std::string(key) + "\":" +
-                                  (value ? "true" : "false"));
+WideEvent& WideEvent::add(const char* key, bool value) & {
+  reserve_attrs(attrs);
+  attrs.push_back({key, value});
+  return *this;
 }
 
-WideEvent& WideEvent::add(const char* key, const std::string& value) {
-  return append_member(*this, trace_arg(key, value));
+WideEvent& WideEvent::add(const char* key, std::string value) & {
+  reserve_attrs(attrs);
+  attrs.push_back({key, std::move(value)});
+  return *this;
 }
 
-WideEvent& WideEvent::add(const char* key, const char* value) {
-  return append_member(*this, trace_arg(key, value));
+WideEvent& WideEvent::add(const char* key, const char* value) & {
+  reserve_attrs(attrs);
+  attrs.push_back({key, std::string(value)});
+  return *this;
 }
 
 std::optional<std::string> env_events_path() {
@@ -50,13 +117,13 @@ std::optional<std::string> env_events_path() {
 }
 
 std::string to_jsonl(const WideEvent& event) {
-  std::ostringstream os;
-  os << "{\"ts\":" << json_number(event.ts_s) << ",\"tenant\":\""
-     << json_escape(event.tenant) << "\",\"session\":" << event.session
-     << ",\"kind\":\"" << json_escape(event.kind) << "\"";
-  if (!event.attrs.empty()) os << ",\"attrs\":{" << event.attrs << "}";
-  os << "}";
-  return os.str();
+  return render(event, event.ts_s);
+}
+
+std::string attrs_json(const WideEvent& event) {
+  std::string members;
+  append_attrs(members, event.attrs);
+  return members;
 }
 
 EventLog& EventLog::global() {
@@ -91,14 +158,21 @@ void EventLog::close() {
 
 void EventLog::emit(const WideEvent& event) {
   if (!enabled()) return;
-  std::string line;
-  if (event.ts_s < 0) {
-    WideEvent stamped = event;
-    stamped.ts_s = monotonic_seconds();
-    line = to_jsonl(stamped);
-  } else {
-    line = to_jsonl(event);
-  }
+  write_line(render(event,
+                    event.ts_s < 0 ? monotonic_seconds() : event.ts_s));
+}
+
+void EventLog::emit(const std::string& kind, const std::string& tenant,
+                    std::uint64_t session, const std::string& attrs) {
+  if (!enabled()) return;
+  std::string line =
+      open_line(WideEvent(kind, tenant, session), monotonic_seconds());
+  if (!attrs.empty()) line += ",\"attrs\":{" + attrs + '}';
+  line += '}';
+  write_line(line);
+}
+
+void EventLog::write_line(const std::string& line) {
   const util::LockGuard lock(mutex_);
   if (!out_.is_open()) return;
   // Flush per line: the event log is the black-box companion — it must be
@@ -106,14 +180,6 @@ void EventLog::emit(const WideEvent& event) {
   // service decision) is far too low for buffering to matter.
   out_ << line << '\n' << std::flush;
   written_ += 1;
-}
-
-void EventLog::emit(const std::string& kind, const std::string& tenant,
-                    std::uint64_t session, const std::string& attrs) {
-  if (!enabled()) return;
-  WideEvent event(kind, tenant, session);
-  event.attrs = attrs;
-  emit(event);
 }
 
 std::string EventLog::path() const {

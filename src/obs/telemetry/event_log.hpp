@@ -14,11 +14,12 @@
 // `ts` is the shared monotonic timeline every other observability layer
 // stamps with (logger lines, Chrome-trace timestamps), so an event-log
 // line, a log line, and a trace instant for the same decision line up.
-// `attrs` carries the fact's payload as rendered JSON members, appended
-// with the typed add() overloads and nested under one key so attr names
-// can never collide with the envelope schema. Doubles use
-// obs::json_number, so every attr reads back to the bits it was built
-// from.
+// `attrs` carries the fact's payload as typed values, appended with the
+// add() overloads and nested under one key in the line so attr names can
+// never collide with the envelope schema. They are rendered only when a
+// sink writes text, so a fact that reaches only a flight ring formats
+// nothing. Doubles render through obs::json_number, so every attr reads
+// back to the bits it was built from.
 //
 // Zero-code-change capture, mirroring MPAS_TRACE/MPAS_METRICS: if the
 // MPAS_EVENTS environment variable names a file, the global log opens it
@@ -36,6 +37,8 @@
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <variant>
+#include <vector>
 
 #include "util/annotations.hpp"
 #include "util/lock_ranks.hpp"
@@ -43,13 +46,19 @@
 
 namespace mpas::obs::telemetry {
 
+/// One typed attr of a fact.
+struct Attr {
+  const char* key;  // a string literal: it must outlive the fact
+  std::variant<double, std::int64_t, std::uint64_t, bool, std::string> value;
+};
+
 /// One service fact. `ts_s < 0` means "stamp me at emit time".
 struct WideEvent {
   double ts_s = -1;
   std::string tenant;          // may be empty for service-scope events
   std::uint64_t session = 0;   // 0 = not tied to one session
   std::string kind;
-  std::string attrs;           // rendered JSON members, may be empty
+  std::vector<Attr> attrs;     // in add() order, may be empty
 
   WideEvent() = default;
   WideEvent(std::string kind_, std::string tenant_, std::uint64_t session_)
@@ -57,22 +66,30 @@ struct WideEvent {
         session(session_),
         kind(std::move(kind_)) {}
 
-  /// Append one `"key":value` member to attrs. A bool renders as a JSON
-  /// bool, a string JSON-escaped, a double through obs::json_number.
-  WideEvent& add(const char* key, double value);
-  WideEvent& add(const char* key, std::int64_t value);
-  WideEvent& add(const char* key, std::uint64_t value);
-  WideEvent& add(const char* key, bool value);
-  WideEvent& add(const char* key, const std::string& value);
-  WideEvent& add(const char* key, const char* value);
+  /// Append one attr; `key` must be a string literal. It renders as a
+  /// `"key":value` member: a bool as a JSON bool, a string JSON-escaped,
+  /// a double through obs::json_number.
+  WideEvent& add(const char* key, double value) &;
+  WideEvent& add(const char* key, std::int64_t value) &;
+  WideEvent& add(const char* key, std::uint64_t value) &;
+  WideEvent& add(const char* key, bool value) &;
+  WideEvent& add(const char* key, std::string value) &;
+  WideEvent& add(const char* key, const char* value) &;
   /// Every other integer type widens to 64 bits.
   template <std::integral T>
-  WideEvent& add(const char* key, T value) {
+  WideEvent& add(const char* key, T value) & {
     if constexpr (std::is_signed_v<T>) {
       return add(key, static_cast<std::int64_t>(value));
     } else {
       return add(key, static_cast<std::uint64_t>(value));
     }
+  }
+  /// On a temporary the chain stays a temporary, so
+  /// `record_fact(WideEvent(...).add(...))` moves the fact into its sinks
+  /// instead of copying it.
+  template <typename T>
+  WideEvent&& add(const char* key, T&& value) && {
+    return std::move(add(key, std::forward<T>(value)));
   }
 };
 
@@ -105,7 +122,7 @@ class EventLog {
   /// is flushed immediately.
   void emit(const WideEvent& event);
 
-  /// Convenience overload rendering the envelope in place.
+  /// Convenience overload taking attrs already rendered as JSON members.
   void emit(const std::string& kind, const std::string& tenant,
             std::uint64_t session, const std::string& attrs = {});
 
@@ -113,6 +130,8 @@ class EventLog {
   [[nodiscard]] std::uint64_t events_written() const;
 
  private:
+  void write_line(const std::string& line);
+
   std::atomic<bool> enabled_{false};
   // Leaf-rank mutex that exists to serialize the JSONL sink; the one
   // blocking write under it (emit) is the log's entire purpose.
@@ -127,5 +146,8 @@ std::optional<std::string> env_events_path();
 
 /// Render one event as its JSONL line (no trailing newline).
 std::string to_jsonl(const WideEvent& event);
+/// Render `event.attrs` as JSON members, `"k":v,...` without braces: what
+/// to_jsonl nests under "attrs", and what a trace instant takes as args.
+std::string attrs_json(const WideEvent& event);
 
 }  // namespace mpas::obs::telemetry

@@ -21,14 +21,18 @@ void FlightRecorder::record(WideEvent fact) {
   recorded_ += 1;
 }
 
-std::vector<WideEvent> FlightRecorder::events() const {
-  const util::LockGuard lock(mutex_);
+std::vector<WideEvent> FlightRecorder::held_locked() const {
   std::vector<WideEvent> out;
   out.reserve(ring_.size());
   for (std::size_t i = 0; i < ring_.size(); ++i) {
     out.push_back(ring_[(head_ + i) % ring_.size()]);
   }
   return out;
+}
+
+std::vector<WideEvent> FlightRecorder::events() const {
+  const util::LockGuard lock(mutex_);
+  return held_locked();
 }
 
 std::uint64_t FlightRecorder::recorded() const {
@@ -51,11 +55,21 @@ std::size_t FlightRecorder::count(const std::string& kind) const {
 }
 
 bool FlightRecorder::dump_to_file(const std::string& path,
-                                  const WideEvent& header) const {
+                                  WideEvent& header) const {
+  std::vector<WideEvent> held;
+  std::uint64_t total = 0;
+  {
+    const util::LockGuard lock(mutex_);
+    held = held_locked();
+    total = recorded_;
+  }
+  header.add("capacity", capacity_)
+      .add("recorded", total)
+      .add("dropped", total - held.size());
   std::ofstream out(path, std::ios::trunc);
   if (!out.good()) return false;
   out << to_jsonl(header) << '\n';
-  for (const WideEvent& fact : events()) out << to_jsonl(fact) << '\n';
+  for (const WideEvent& fact : held) out << to_jsonl(fact) << '\n';
   return out.good();
 }
 

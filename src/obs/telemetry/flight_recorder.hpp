@@ -50,11 +50,16 @@ class FlightRecorder {
   /// How many held facts are of `kind`.
   [[nodiscard]] std::size_t count(const std::string& kind) const;
 
-  /// Write `header` and then every held fact, oldest first, one to_jsonl
-  /// line each; false when the file cannot be written.
-  bool dump_to_file(const std::string& path, const WideEvent& header) const;
+  /// Add the ring's `capacity`, `recorded` and `dropped` to `header`, then
+  /// write it and every held fact, oldest first, one to_jsonl line each.
+  /// Counts and facts come from one snapshot. False when the file cannot
+  /// be written.
+  bool dump_to_file(const std::string& path, WideEvent& header) const;
 
  private:
+  [[nodiscard]] std::vector<WideEvent> held_locked() const
+      MPAS_REQUIRES(mutex_);
+
   std::size_t capacity_;
   mutable util::Mutex mutex_{"obs.flight_recorder",
                              util::lockrank::kFlightRecorder};

@@ -15,10 +15,14 @@ void record_fact(obs::telemetry::WideEvent fact,
   obs::telemetry::EventLog::global().emit(fact);
   auto& tracer = obs::TraceRecorder::global();
   if (tracer.enabled()) {
-    obs::telemetry::WideEvent args;
-    args.add("id", fact.session).add("tenant", fact.tenant);
-    if (!fact.attrs.empty()) args.attrs += "," + fact.attrs;
-    tracer.instant("service:" + fact.kind, std::move(args.attrs));
+    std::string args = attrs_json(obs::telemetry::WideEvent()
+                                      .add("id", fact.session)
+                                      .add("tenant", fact.tenant));
+    if (!fact.attrs.empty()) {
+      args += ',';
+      args += attrs_json(fact);
+    }
+    tracer.instant("service:" + fact.kind, std::move(args));
   }
   if (journal != nullptr) journal->append(fact);
   // Last, so the ring takes the fact by move.

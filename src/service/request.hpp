@@ -99,9 +99,9 @@ struct SessionResult {
   std::uint64_t id = 0;
   std::string tenant;
   SessionState state = SessionState::Queued;
-  /// Why the session ended the way it did (admission verdicts, shed and
-  /// degradation explanations, exception text) — never empty for
-  /// Rejected/Shed/Cancelled/TimedOut/Failed.
+  /// Why the session is where it is (the admission verdict while queued
+  /// or running, shed and degradation explanations, exception text,
+  /// "completed") — never empty for a session that has ended.
   std::string reason;
   /// Machine-readable reason — what reason says, as an enum.
   ReasonCode reason_code = ReasonCode::None;

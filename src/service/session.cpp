@@ -124,6 +124,7 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
                         .add("channel", a.channel)
                         .add("ratio", a.ratio)
                         .add("baseline", a.baseline)
+                        .add("score", a.score)
                         .add("step", a.step),
                     flight);
       });
@@ -241,7 +242,8 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
       ev.kind = obs::TraceEvent::Kind::Complete;
       ev.name = "step";
       // A fact's attrs render as trace args too.
-      ev.args = WideEvent().add("step", s).add("modeled_s", step_seconds).attrs;
+      ev.args = attrs_json(
+          WideEvent().add("step", s).add("modeled_s", step_seconds));
       ev.ts_us = step_start_us;
       ev.dur_us = tracer.now_us() - step_start_us;
       ev.track = track;
@@ -291,6 +293,7 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
   }
 
   result.state = SessionState::Completed;
+  result.reason = "completed";
   result.reason_code = ReasonCode::Completed;
   result.modeled_seconds = spent;
   result.replans = sut.replans();

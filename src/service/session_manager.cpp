@@ -297,16 +297,6 @@ void SessionManager::run_one(std::uint64_t id) {
         opts_.durable, chain_dir, id, req.tenant, &journal_,
         resilience::env_fault_injector());
   }
-  // A session the journal just marked terminal can never be recovered: its
-  // checkpoint generations are dead weight, and so is its writer thread,
-  // which would otherwise idle until the manager is destroyed. File I/O
-  // and a join, so strictly after the lock.
-  const auto retire_durable = [&rec] {
-    if (rec.durable == nullptr) return;
-    rec.durable->retire();
-    rec.durable.reset();
-  };
-
   Real backoff_spent = 0;
   for (int attempt = 1; attempt <= opts_.max_attempts; ++attempt) {
     try {
@@ -334,7 +324,10 @@ void SessionManager::run_one(std::uint64_t id) {
         rec.result = local;
         finish_locked(rec, local.state, local.reason, local.reason_code);
       }
-      retire_durable();
+      // A session the journal just marked terminal can never be recovered:
+      // its checkpoint generations are dead weight. File I/O, so strictly
+      // after the lock.
+      if (rec.durable != nullptr) rec.durable->retire();
       flush_flight_dumps();
       return;
     } catch (const TransientError& e) {
@@ -372,7 +365,7 @@ void SessionManager::run_one(std::uint64_t id) {
         }
       }
       if (terminal) {
-        retire_durable();
+        if (rec.durable != nullptr) rec.durable->retire();
         flush_flight_dumps();
         return;
       }
@@ -390,7 +383,7 @@ void SessionManager::run_one(std::uint64_t id) {
         finish_locked(rec, SessionState::Failed, os.str(),
                       ReasonCode::SessionFault);
       }
-      retire_durable();
+      if (rec.durable != nullptr) rec.durable->retire();
       flush_flight_dumps();
       return;
     }
@@ -504,15 +497,11 @@ void SessionManager::flush_flight_dumps() {
   for (const PendingDump& dump : dumps) {
     std::error_code ec;
     std::filesystem::create_directories(dump.dir, ec);
-    // The dump's first line is this fact, stamped before the write so the
-    // event log receives the same bytes once the file is on disk.
-    const std::uint64_t recorded = dump.flight->recorded();
+    // The dump's first line is this fact, completed with the ring's counts
+    // by dump_to_file and stamped before the write, so the event log
+    // receives the same bytes once the file is on disk.
     WideEvent header("flight_dump", dump.tenant, dump.id);
-    header.add("trigger", dump.trigger)
-        .add("path", dump.path)
-        .add("capacity", dump.flight->capacity())
-        .add("recorded", recorded)
-        .add("dropped", recorded - dump.flight->size());
+    header.add("trigger", dump.trigger).add("path", dump.path);
     header.ts_s = monotonic_seconds();
     if (dump.flight->dump_to_file(dump.path, header)) {
       MPAS_LOG_INFO << "session " << dump.id << " flight recorder dumped to "

@@ -151,8 +151,8 @@ class SessionManager {
     /// Crash-recovery restore point (recovered sessions only).
     std::optional<ResumeState> resume;
     /// Durable checkpointer, created by run_one *outside* the manager lock
-    /// (opening the store is file I/O) and released at terminal. unique_ptr
-    /// for the same stable-address reason as the flight recorder.
+    /// (opening the store is file I/O). unique_ptr for the same stable-
+    /// address reason as the flight recorder.
     std::unique_ptr<SessionCheckpointer> durable;
   };
 

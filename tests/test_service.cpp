@@ -494,13 +494,18 @@ TEST(SessionManager, FailureDumpsTheFlightRecorder) {
   for (const std::string& line : read_lines(bad_path))
     lines.push_back(obs::json::parse(line));
   ASSERT_FALSE(lines.empty());
-  // The first line is the flight_dump fact naming the trigger.
+  // The first line is the flight_dump fact naming the trigger and the
+  // ring's counts: every fact the session recorded is held.
   const obs::json::Value& head = lines.front();
   EXPECT_EQ(head.at("kind").as_string(), "flight_dump");
   EXPECT_EQ(head.at("attrs").at("trigger").as_string(), "failure");
   EXPECT_EQ(head.at("tenant").as_string(), "doomed");
   EXPECT_DOUBLE_EQ(head.at("session").as_number(),
                    static_cast<double>(bad_id));
+  EXPECT_DOUBLE_EQ(head.at("attrs").at("capacity").as_number(), 256);
+  EXPECT_DOUBLE_EQ(head.at("attrs").at("dropped").as_number(), 0);
+  EXPECT_DOUBLE_EQ(head.at("attrs").at("recorded").as_number(),
+                   static_cast<double>(lines.size() - 1));
   // The box replays the session's fate: admission, dispatch, the retry
   // storm, and the terminal verdict.
   std::map<std::string, int> kinds;
@@ -581,11 +586,15 @@ TEST(ServiceFacts, EverySinkWritesTheSameLine) {
         flight_dir + "/flight_session" + std::to_string(id) + ".jsonl";
     const std::vector<std::string> dump = read_lines(dump_path);
     ASSERT_GE(dump.size(), 2u) << dump_path;
-    EXPECT_EQ(obs::json::parse(dump[0]).at("kind").as_string(),
-              "flight_dump");
-    for (std::size_t i = 1; i < dump.size(); ++i)
-      EXPECT_TRUE(logged.count(dump[i]) == 1) << "dump line not logged: "
-                                              << dump[i];
+    const auto head = obs::json::parse(dump[0]);
+    EXPECT_EQ(head.at("kind").as_string(), "flight_dump");
+    EXPECT_DOUBLE_EQ(head.at("attrs").at("recorded").as_number(),
+                     static_cast<double>(dump.size() - 1));
+    EXPECT_DOUBLE_EQ(head.at("attrs").at("dropped").as_number(), 0);
+    // The flight_dump fact itself reaches the event log too.
+    for (const std::string& line : dump)
+      EXPECT_TRUE(logged.count(line) == 1) << "dump line not logged: "
+                                           << line;
     for (const auto* file : {&log, &journal, &dump}) {
       EXPECT_EQ(count(*file, id, true), 1) << "session " << id;
       EXPECT_EQ(count(*file, id, false), 1) << "session " << id;

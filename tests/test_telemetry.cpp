@@ -2,8 +2,9 @@
 // policy environment overrides, the flight recorder's ring semantics and
 // JSONL dump (parsed back with the in-repo reader), the MPAS_FLIGHT_DUMP
 // grammar, the wide-event JSONL sink and its typed attrs, and the
-// steady-state overhead budget (same style as the disabled-tracing budget
-// in test_obs.cpp).
+// steady-state overhead budget of one service fact recorded through
+// service::record_fact (same style as the disabled-tracing budget in
+// test_obs.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,6 +19,8 @@
 #include "obs/telemetry/event_log.hpp"
 #include "obs/telemetry/flight_recorder.hpp"
 #include "obs/telemetry/slo.hpp"
+#include "obs/trace.hpp"
+#include "service/facts.hpp"
 #include "sw/model.hpp"
 #include "sw/testcases.hpp"
 #include "util/timer.hpp"
@@ -163,7 +166,7 @@ TEST(FlightRecorder, RingOverwritesOldestPastCapacity) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_DOUBLE_EQ(events[i].ts_s, static_cast<double>(i + 2));
     const std::string n = std::to_string(i + 2);
-    EXPECT_EQ(events[i].attrs, "\"step\":" + n + ",\"a\":" + n);
+    EXPECT_EQ(attrs_json(events[i]), "\"step\":" + n + ",\"a\":" + n);
   }
 }
 
@@ -213,17 +216,14 @@ TEST(FlightRecorder, DumpToFileWritesParseableJson) {
                       .add("reason", "chaos")
                       .add("step", 2));
   recorder.record(fact("terminal", 2).add("state", "completed"));
-  recorder.record(fact("flight_dump", 3));  // not held: see `dropped`
+  recorder.record(fact("flight_dump", 3));  // health fell out: `dropped`
   WideEvent header = fact("flight_dump", 4);
-  header.add("trigger", "quarantine")
-      .add("capacity", recorder.capacity())
-      .add("recorded", recorder.recorded())
-      .add("dropped", recorder.recorded() - recorder.size());
+  header.add("trigger", "quarantine");
   const std::string path = "test_flight_dump.jsonl";
   ASSERT_TRUE(recorder.dump_to_file(path, header));
 
-  // Line for line the event log's format: the header, then the held
-  // facts oldest first.
+  // Line for line the event log's format: the header, completed with the
+  // ring's counts, then the held facts oldest first.
   std::ifstream in(path);
   std::string line;
   std::vector<std::string> lines;
@@ -245,7 +245,8 @@ TEST(FlightRecorder, DumpToFileWritesParseableJson) {
   EXPECT_EQ(docs[2].at("kind").as_string(), "flight_dump");
   std::remove(path.c_str());
 
-  EXPECT_FALSE(recorder.dump_to_file("no_such_dir/x.jsonl", header));
+  WideEvent unwritten = fact("flight_dump", 5);
+  EXPECT_FALSE(recorder.dump_to_file("no_such_dir/x.jsonl", unwritten));
 }
 
 TEST(FlightDumpPolicy, EnvGrammar) {
@@ -339,7 +340,7 @@ TEST(WideEvent, TypedAttrsRenderExactly) {
       .add("borrowed", true)
       .add("reason", "a \"quoted\" reason")
       .add("inf", std::numeric_limits<double>::infinity());
-  EXPECT_EQ(event.attrs,
+  EXPECT_EQ(attrs_json(event),
             "\"deadline_modeled_s\":1234.56789012345,\"steps\":8,"
             "\"id\":9223372036854775808,\"offset\":-5,\"borrowed\":true,"
             "\"reason\":\"a \\\"quoted\\\" reason\",\"inf\":0");
@@ -366,27 +367,28 @@ TEST(EventLog, ToJsonlEnvelopeSchema) {
 // ------------------------------------------------------- overhead budget
 
 TEST(TelemetryOverhead, SteadyStateStaysUnderTwoPercentOfAStep) {
-  // Cost of one flight-recorder event in steady state (ring full, the
-  // allocation-free overwrite path every healthy session lives on).
+  // Cost of one service fact as a session step records it: built with
+  // typed attrs, then stamped by service::record_fact, checked against the
+  // disabled event log and trace, and moved into a full flight ring (the
+  // steady state of a long session).
+  EventLog::global().close();
+  TraceRecorder::global().set_enabled(false);
   FlightRecorder recorder;
-  WideEvent check("deadline_check", "gold", 7);
-  check.add("step", 4).add("needed_modeled_s", 1.25).add(
-      "deadline_modeled_s", 2.0);
+  const std::string tenant = "gold";
   constexpr int kProbes = 200000;
-  for (std::size_t i = 0; i < recorder.capacity(); ++i) recorder.record(check);
-  WallTimer record_timer;
-  for (int i = 0; i < kProbes; ++i) recorder.record(check);
-  const double per_record = record_timer.seconds() / kProbes;
-
-  // Cost of one disarmed event-log probe (the enabled() check every emit
-  // site makes before formatting anything).
-  EventLog log;
-  WallTimer probe_timer;
-  std::uint64_t armed = 0;
-  for (int i = 0; i < kProbes; ++i)
-    if (log.enabled()) armed += 1;
-  const double per_probe = probe_timer.seconds() / kProbes;
-  EXPECT_EQ(armed, 0u);
+  const auto record = [&](int step) {
+    service::record_fact(WideEvent("step_excursion", tenant, 7)
+                             .add("step", step)
+                             .add("step_modeled_s", 1.25e-3 * (1 + step % 7))
+                             .add("ewma_modeled_s", 1.0625e-3),
+                         &recorder);
+  };
+  const int warm = static_cast<int>(recorder.capacity());
+  for (int i = 0; i < warm; ++i) record(i);
+  WallTimer fact_timer;
+  for (int i = 0; i < kProbes; ++i) record(i);
+  const double per_fact = fact_timer.seconds() / kProbes;
+  EXPECT_EQ(recorder.recorded(), static_cast<std::uint64_t>(warm + kProbes));
 
   // A real serial SwModel step on the level-3 mesh for scale.
   const auto mesh = mesh::get_global_mesh(3);
@@ -401,14 +403,13 @@ TEST(TelemetryOverhead, SteadyStateStaysUnderTwoPercentOfAStep) {
   model.run(kSteps);
   const double per_step = step_timer.seconds() / kSteps;
 
-  // A healthy session records at most a handful of flight events per step
-  // (deadline check, EWMA sample) and probes the event log a few times;
-  // budget 16 of each to be generous. Steady-state telemetry must cost
-  // well under 2% of the measured step time.
-  const double overhead = 16.0 * (per_record + per_probe);
+  // A healthy session records at most a handful of facts per step
+  // (deadline check, step excursion); budget 16 to be generous.
+  // Steady-state telemetry must cost well under 2% of the measured step
+  // time.
+  const double overhead = 16.0 * per_fact;
   EXPECT_LT(overhead, 0.02 * per_step)
-      << "per_record=" << per_record << "s per_probe=" << per_probe
-      << "s per_step=" << per_step << "s";
+      << "per_fact=" << per_fact << "s per_step=" << per_step << "s";
 }
 
 }  // namespace
