@@ -76,37 +76,37 @@ void reserve_attrs(std::vector<Attr>& attrs) {
 
 WideEvent& WideEvent::add(const char* key, double value) & {
   reserve_attrs(attrs);
-  attrs.push_back({key, value});
+  attrs.emplace_back(key, value);
   return *this;
 }
 
 WideEvent& WideEvent::add(const char* key, std::int64_t value) & {
   reserve_attrs(attrs);
-  attrs.push_back({key, value});
+  attrs.emplace_back(key, value);
   return *this;
 }
 
 WideEvent& WideEvent::add(const char* key, std::uint64_t value) & {
   reserve_attrs(attrs);
-  attrs.push_back({key, value});
+  attrs.emplace_back(key, value);
   return *this;
 }
 
 WideEvent& WideEvent::add(const char* key, bool value) & {
   reserve_attrs(attrs);
-  attrs.push_back({key, value});
+  attrs.emplace_back(key, value);
   return *this;
 }
 
 WideEvent& WideEvent::add(const char* key, std::string value) & {
   reserve_attrs(attrs);
-  attrs.push_back({key, std::move(value)});
+  attrs.emplace_back(key, std::move(value));
   return *this;
 }
 
 WideEvent& WideEvent::add(const char* key, const char* value) & {
   reserve_attrs(attrs);
-  attrs.push_back({key, std::string(value)});
+  attrs.emplace_back(key, std::string(value));
   return *this;
 }
 
