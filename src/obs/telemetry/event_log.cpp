@@ -42,21 +42,22 @@ void append_attrs(std::string& out, const std::vector<Attr>& attrs) {
 
 // `{"ts":..,"tenant":..,"session":..,"kind":..` — the envelope without its
 // attrs and closing brace.
-std::string open_line(const WideEvent& event, double ts_s) {
+std::string open_line(double ts_s, const std::string& tenant,
+                      std::uint64_t session, const std::string& kind) {
   std::string line = "{\"ts\":";
   line += json_number(ts_s);
   line += ",\"tenant\":\"";
-  line += json_escape(event.tenant);
+  line += json_escape(tenant);
   line += "\",\"session\":";
-  append_integer(line, event.session);
+  append_integer(line, session);
   line += ",\"kind\":\"";
-  line += json_escape(event.kind);
+  line += json_escape(kind);
   line += '"';
   return line;
 }
 
 std::string render(const WideEvent& event, double ts_s) {
-  std::string line = open_line(event, ts_s);
+  std::string line = open_line(ts_s, event.tenant, event.session, event.kind);
   if (!event.attrs.empty()) {
     line += ",\"attrs\":{";
     append_attrs(line, event.attrs);
@@ -165,8 +166,7 @@ void EventLog::emit(const WideEvent& event) {
 void EventLog::emit(const std::string& kind, const std::string& tenant,
                     std::uint64_t session, const std::string& attrs) {
   if (!enabled()) return;
-  std::string line =
-      open_line(WideEvent(kind, tenant, session), monotonic_seconds());
+  std::string line = open_line(monotonic_seconds(), tenant, session, kind);
   if (!attrs.empty()) line += ",\"attrs\":{" + attrs + '}';
   line += '}';
   write_line(line);
