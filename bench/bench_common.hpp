@@ -22,6 +22,7 @@
 #include "machine/machine_model.hpp"
 #include "sw/model.hpp"
 #include "util/config.hpp"
+#include "util/env.hpp"
 #include "util/table.hpp"
 
 namespace mpas::bench {
@@ -45,10 +46,7 @@ inline harness::BenchReport& report() {
 
 inline std::string out_dir() {
   std::string& dir = detail::out_dir_storage();
-  if (dir.empty()) {
-    const char* env = std::getenv("MPAS_BENCH_OUT");
-    dir = (env != nullptr && *env != '\0') ? env : "bench_out";
-  }
+  if (dir.empty()) dir = *env::text("MPAS_BENCH_OUT");  // has a default
   std::filesystem::create_directories(dir);
   return dir;
 }

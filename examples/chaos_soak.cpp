@@ -18,6 +18,7 @@
 #include "obs/trace.hpp"
 #include "resilience/health/chaos.hpp"
 #include "util/config.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 using namespace mpas;
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string trace_path =
-      obs::env_trace_path().value_or(cfg.get_string("trace", ""));
+      env::text("MPAS_TRACE").value_or(cfg.get_string("trace", ""));
   if (!trace_path.empty()) obs::start_trace_file(trace_path);
 
   int failures = 0;

@@ -16,12 +16,12 @@
 //       [probability=0]   (> 0 switches to probabilistic stress mode)
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "comm/distributed.hpp"
 #include "mesh/mesh_cache.hpp"
 #include "resilience/fault_env.hpp"
 #include "util/config.hpp"
+#include "util/env.hpp"
 
 using namespace mpas;
 
@@ -43,9 +43,8 @@ int main(int argc, char** argv) {
   // recovery — is reproducible from the spec string alone.
   resilience::FaultCampaign campaign;
   campaign.seed = seed;
-  if (const char* env = std::getenv("MPAS_FAULT");
-      env != nullptr && env[0] != '\0') {
-    campaign = resilience::parse_fault_campaign(env);
+  if (const auto spec = env::text("MPAS_FAULT")) {
+    campaign = resilience::parse_fault_campaign(*spec);
   } else {
     const auto arm = [&](resilience::FaultKind kind, std::uint64_t at_event) {
       resilience::FaultSpec spec;

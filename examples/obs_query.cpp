@@ -36,7 +36,8 @@
 // still incomplete, or when require_recovered= sessions did not recover
 // to a terminal state.
 //
-// Presence assertions (any mode):
+// Presence assertions (summary, events and slo modes; profile and
+// recovery modes reject them with exit 2):
 //   require_kind=<kind> [require_min=<n>]
 //     exit 1 when fewer than n matching events of that kind exist.
 //
@@ -125,6 +126,11 @@ int main(int argc, char** argv) {
   }
 
   const std::string mode = cfg.get_string("mode", "summary");
+  if ((mode == "profile" || mode == "recovery") && cfg.has("require_kind")) {
+    std::cerr << "obs_query: require_kind= is not evaluated in mode=" << mode
+              << "; use mode=summary, events or slo\n";
+    return 2;
+  }
 
   if (mode == "profile") {
     namespace profiling = mpas::obs::profiling;

@@ -27,6 +27,7 @@
 #include "service/session.hpp"
 #include "service/session_manager.hpp"
 #include "util/config.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 using namespace mpas;
@@ -300,7 +301,7 @@ int main(int argc, char** argv) {
   const std::string phase = cfg.get_string("phase", "all");
 
   const std::string trace_path =
-      obs::env_trace_path().value_or(cfg.get_string("trace", ""));
+      env::text("MPAS_TRACE").value_or(cfg.get_string("trace", ""));
   if (!trace_path.empty()) obs::start_trace_file(trace_path);
 
   if (phase == "all" || phase == "underload") phase_underload(soak);

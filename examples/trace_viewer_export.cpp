@@ -24,6 +24,7 @@
 #include "obs/trace.hpp"
 #include "sw/model.hpp"
 #include "util/config.hpp"
+#include "util/env.hpp"
 
 using namespace mpas;
 
@@ -34,13 +35,13 @@ int main(int argc, char** argv) {
   // MPAS_TRACE (read inside the recorder) wins; trace= is the fallback so
   // the demo always produces a file.
   const std::string trace_path =
-      obs::env_trace_path().value_or(cfg.get_string("trace", "trace.json"));
+      env::text("MPAS_TRACE").value_or(cfg.get_string("trace", "trace.json"));
   obs::start_trace_file(trace_path);
   // Continuous profiler alongside the trace: MPAS_PROFILE wins, profile=
   // is the fallback so the demo always produces both artifacts. Must be
   // armed before the serial model below publishes the machine model's
   // per-node predictions (a no-op while the profiler is off).
-  const std::string profile_path = obs::profiling::env_profile_path().value_or(
+  const std::string profile_path = env::text("MPAS_PROFILE").value_or(
       cfg.get_string("profile", "profile.json"));
   obs::profiling::start_profile_file(profile_path);
 

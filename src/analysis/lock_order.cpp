@@ -7,6 +7,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/env.hpp"
 
 namespace mpas::analysis {
 
@@ -32,11 +33,6 @@ thread_local bool t_in_hook = false;
 /// mutex) so held-chain bookkeeping stays lock-free for already-known
 /// edges.
 std::atomic<std::uint64_t> g_acquisitions{0};
-
-bool env_lock_check_enabled() {
-  const char* v = std::getenv("MPAS_LOCK_CHECK");
-  return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
 
 }  // namespace
 
@@ -71,7 +67,7 @@ bool LockOrderRegistry::installed() const {
 }
 
 bool LockOrderRegistry::install_from_env() {
-  if (!env_lock_check_enabled()) return false;
+  if (!env::flag("MPAS_LOCK_CHECK")) return false;
   LockOrderRegistry& registry = instance();
   if (registry.installed()) return true;
   registry.install();

@@ -60,10 +60,10 @@ class LockOrderRegistry {
   void uninstall();
   [[nodiscard]] bool installed() const;
 
-  /// install() iff MPAS_LOCK_CHECK=1, and (once per process) register the
-  /// at-exit enforcement described above. Called from the service/health
-  /// layer constructors and the soak examples; cheap when the variable is
-  /// unset. Returns true when installed.
+  /// install() iff the MPAS_LOCK_CHECK flag is on, and (once per process)
+  /// register the at-exit enforcement described above. Called from the
+  /// service/health layer constructors and the soak examples; cheap when
+  /// the variable is unset. Returns true when installed.
   static bool install_from_env();
 
   /// Snapshot of the findings so far.

@@ -2,6 +2,9 @@
 
 #include <thread>
 
+#include "obs/trace.hpp"  // json_escape
+#include "util/env.hpp"
+
 namespace mpas::bench_harness {
 
 namespace {
@@ -32,7 +35,48 @@ std::string os_string() {
 #endif
 }
 
+std::string quoted(const std::string& s) {
+  return '"' + obs::json_escape(s) + '"';
+}
+
 }  // namespace
+
+std::string EnvFingerprint::to_json() const {
+  std::string out = "{\"git_sha\":" + quoted(git_sha) +
+                    ",\"compiler\":" + quoted(compiler) +
+                    ",\"build_type\":" + quoted(build_type) +
+                    ",\"flags\":" + quoted(flags) + ",\"os\":" + quoted(os) +
+                    ",\"hardware_threads\":" +
+                    std::to_string(hardware_threads) +
+                    ",\"machine_preset\":" + quoted(machine_preset) +
+                    ",\"mesh_level\":" + std::to_string(mesh_level) +
+                    ",\"config\":{";
+  bool first = true;
+  for (const auto& [name, value] : config) {
+    if (!first) out += ',';
+    first = false;
+    out += quoted(name) + ':' + quoted(value);
+  }
+  out += "}}";
+  return out;
+}
+
+EnvFingerprint EnvFingerprint::from_json(const obs::json::Value& doc) {
+  EnvFingerprint fp;
+  fp.git_sha = doc.at("git_sha").as_string();
+  fp.compiler = doc.at("compiler").as_string();
+  fp.build_type = doc.at("build_type").as_string();
+  fp.flags = doc.at("flags").as_string();
+  fp.os = doc.at("os").as_string();
+  fp.hardware_threads =
+      static_cast<int>(doc.at("hardware_threads").as_number());
+  fp.machine_preset = doc.at("machine_preset").as_string();
+  fp.mesh_level = static_cast<int>(doc.at("mesh_level").as_number());
+  if (doc.has("config"))
+    for (const auto& [name, value] : doc.at("config").as_object())
+      fp.config[name] = value.as_string();
+  return fp;
+}
 
 EnvFingerprint current_fingerprint() {
   EnvFingerprint fp;
@@ -53,6 +97,8 @@ EnvFingerprint current_fingerprint() {
   fp.os = os_string();
   fp.hardware_threads =
       static_cast<int>(std::thread::hardware_concurrency());
+  for (auto& [name, value] : env::resolved())
+    fp.config.emplace(std::move(name), std::move(value));
   return fp;
 }
 

@@ -1,13 +1,17 @@
-// Environment fingerprint stamped into every BENCH_<suite>.json so a perf
-// number can never be read without knowing what produced it: git revision
-// (configure-time, via the MPAS_GIT_SHA compile definition), compiler and
-// build flags, host parallelism, and the machine-model preset the modeled
-// series were computed against. Two reports are only comparable as a
+// Environment fingerprint stamped into every BENCH_<suite>.json and every
+// MPAS_PROFILE artifact so a perf number can never be read without knowing
+// what produced it: git revision (configure-time, via the MPAS_GIT_SHA
+// compile definition), compiler and build flags, host parallelism, the
+// machine-model preset the modeled series were computed against, and the
+// resolved MPAS_* configuration. Two reports are only comparable as a
 // like-for-like perf diff when comparable() holds; bench_compare downgrades
 // to structural checks otherwise.
 #pragma once
 
+#include <map>
 #include <string>
+
+#include "obs/json.hpp"
 
 namespace mpas::bench_harness {
 
@@ -20,6 +24,9 @@ struct EnvFingerprint {
   int hardware_threads = 0;
   std::string machine_preset;  // machine-model preset driving modeled series
   int mesh_level = -1;         // -1: bench not tied to one built mesh
+  /// Every declared MPAS_* variable with its effective value
+  /// (env::resolved()). Empty when read from a file that predates it.
+  std::map<std::string, std::string> config;
 
   /// Same compiler + build type + machine preset: modeled numbers are
   /// expected to agree within floating-point noise.
@@ -27,6 +34,12 @@ struct EnvFingerprint {
     return compiler == other.compiler && build_type == other.build_type &&
            machine_preset == other.machine_preset;
   }
+
+  /// One JSON object, members in declaration order. The one codec both
+  /// the bench report and the profile artifact embed.
+  [[nodiscard]] std::string to_json() const;
+  /// Inverse of to_json; a missing "config" member reads as empty.
+  static EnvFingerprint from_json(const obs::json::Value& doc);
 };
 
 /// Fingerprint of the running binary (machine_preset/mesh_level left for

@@ -228,15 +228,8 @@ const MetricSeries* BenchReport::find_series(const std::string& name) const {
 std::string BenchReport::to_json() const {
   std::ostringstream os;
   os << "{\"schema_version\":" << kReportSchemaVersion
-     << ",\"suite\":" << str(suite_) << ",\"environment\":{"
-     << "\"git_sha\":" << str(environment_.git_sha)
-     << ",\"compiler\":" << str(environment_.compiler)
-     << ",\"build_type\":" << str(environment_.build_type)
-     << ",\"flags\":" << str(environment_.flags)
-     << ",\"os\":" << str(environment_.os)
-     << ",\"hardware_threads\":" << environment_.hardware_threads
-     << ",\"machine_preset\":" << str(environment_.machine_preset)
-     << ",\"mesh_level\":" << environment_.mesh_level << "}";
+     << ",\"suite\":" << str(suite_)
+     << ",\"environment\":" << environment_.to_json();
 
   os << ",\"series\":[";
   for (std::size_t i = 0; i < series_.size(); ++i) {
@@ -300,17 +293,7 @@ BenchReport BenchReport::from_json(const json::Value& doc) {
                              std::to_string(version));
   BenchReport report(doc.at("suite").as_string());
 
-  const json::Value& env = doc.at("environment");
-  report.environment_.git_sha = env.at("git_sha").as_string();
-  report.environment_.compiler = env.at("compiler").as_string();
-  report.environment_.build_type = env.at("build_type").as_string();
-  report.environment_.flags = env.at("flags").as_string();
-  report.environment_.os = env.at("os").as_string();
-  report.environment_.hardware_threads =
-      static_cast<int>(env.at("hardware_threads").as_number());
-  report.environment_.machine_preset = env.at("machine_preset").as_string();
-  report.environment_.mesh_level =
-      static_cast<int>(env.at("mesh_level").as_number());
+  report.environment_ = EnvFingerprint::from_json(doc.at("environment"));
 
   for (const auto& sv : doc.at("series").as_array()) {
     MetricSeries s;

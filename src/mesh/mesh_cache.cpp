@@ -1,10 +1,10 @@
 #include "mesh/mesh_cache.hpp"
 
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 
 #include "mesh/mesh_io.hpp"
+#include "util/env.hpp"
 #include "util/lock_ranks.hpp"
 #include "util/mutex.hpp"
 #include "mesh/trimesh.hpp"
@@ -25,8 +25,7 @@ VoronoiMesh build_icosahedral_voronoi_mesh(int level, Real sphere_radius,
 namespace {
 
 std::filesystem::path cache_dir() {
-  if (const char* env = std::getenv("MPAS_MESH_CACHE")) return env;
-  return "mesh_cache";
+  return *env::text("MPAS_MESH_CACHE");  // declared with a default
 }
 
 std::filesystem::path cache_path(int level) {

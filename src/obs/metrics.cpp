@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "obs/trace.hpp"  // json_escape, json_number
+#include "util/env.hpp"
 #include "util/lock_ranks.hpp"
 #include "util/mutex.hpp"
 
@@ -95,7 +96,7 @@ MetricsRegistry& MetricsRegistry::global() {
   // on the first global() call of the process.
   static MetricsRegistry* registry = [] {
     auto* reg = new MetricsRegistry();
-    if (const auto path = env_metrics_path()) {
+    if (const auto path = env::text("MPAS_METRICS")) {
       {
         util::LockGuard lock(metrics_session_mutex());
         metrics_session_path() = *path;
@@ -250,12 +251,6 @@ void MetricsRegistry::reset() {
 }
 
 // ---- environment/file session ---------------------------------------------
-
-std::optional<std::string> env_metrics_path() {
-  const char* path = std::getenv("MPAS_METRICS");
-  if (path == nullptr || *path == '\0') return std::nullopt;
-  return std::string(path);
-}
 
 void start_metrics_file(std::string path) {
   (void)MetricsRegistry::global();  // ensure the registry outlives the hook

@@ -13,7 +13,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -192,9 +191,6 @@ class MetricsRegistry {
 // global registry's JSON is written there at process exit. The hook arms on
 // the first MetricsRegistry::global() call, which every instrumented
 // runtime layer makes.
-
-/// Path named by the MPAS_METRICS environment variable, if any.
-std::optional<std::string> env_metrics_path();
 
 /// Arrange for the global registry's JSON to be written to `path` at
 /// process exit (and on write_metrics_now()). Called automatically when

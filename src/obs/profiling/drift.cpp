@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <sstream>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 
 namespace mpas::obs::profiling {
 
@@ -16,74 +13,7 @@ namespace {
 
 constexpr Real kTinySeconds = 1e-18;
 
-/// One key=value assignment of the MPAS_DRIFT grammar.
-void apply_assignment(DriftPolicy& policy, const std::string& key,
-                      const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  const bool numeric = end != nullptr && *end == '\0' && !value.empty();
-  if (!numeric) {
-    MPAS_LOG_WARN << "MPAS_DRIFT: non-numeric value '" << value << "' for '"
-                  << key << "' ignored";
-    return;
-  }
-  if (key == "ratio" && v > 1.0) {
-    policy.ratio_threshold = v;
-  } else if (key == "lambda" && v > 0) {
-    policy.ph_lambda = v;
-  } else if (key == "delta" && v >= 0) {
-    policy.ph_delta = v;
-  } else if (key == "alpha" && v > 0 && v <= 1) {
-    policy.alpha = v;
-  } else if (key == "warmup" && v >= 1) {
-    policy.warmup = static_cast<int>(v);
-  } else if (key == "confirm" && v >= 1) {
-    policy.confirm = static_cast<int>(v);
-  } else if (key == "clamp" && v > 0) {
-    policy.clamp_log = v;
-  } else {
-    MPAS_LOG_WARN << "MPAS_DRIFT: unknown or out-of-range assignment '" << key
-                  << "=" << value << "' ignored";
-  }
-}
-
 }  // namespace
-
-DriftPolicy DriftPolicy::parse(const std::string& text) {
-  DriftPolicy policy;
-  if (text == "off" || text == "0") {
-    policy.enabled = false;
-    return policy;
-  }
-  std::istringstream in(text);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      MPAS_LOG_WARN << "MPAS_DRIFT: expected key=value, got '" << item
-                    << "' (ignored)";
-      continue;
-    }
-    apply_assignment(policy, item.substr(0, eq), item.substr(eq + 1));
-  }
-  return policy;
-}
-
-DriftPolicy DriftPolicy::from_env() {
-  const char* text = std::getenv("MPAS_DRIFT");
-  if (text == nullptr || *text == '\0') return {};
-  return parse(text);
-}
-
-std::string DriftPolicy::to_string() const {
-  if (!enabled) return "off";
-  std::ostringstream out;
-  out << "ratio=" << ratio_threshold << ",lambda=" << ph_lambda
-      << ",delta=" << ph_delta << ",alpha=" << alpha << ",warmup=" << warmup
-      << ",confirm=" << confirm << ",clamp=" << clamp_log;
-  return out.str();
-}
 
 ModelDriftMonitor::ModelDriftMonitor(DriftPolicy policy) : policy_(policy) {
   MPAS_CHECK_MSG(policy_.warmup >= 1 && policy_.confirm >= 1,

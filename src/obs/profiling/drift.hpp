@@ -50,15 +50,6 @@ struct DriftPolicy {
   int confirm = 2;             // consecutive "over" observations to alarm
   Real clamp_log = 1.5;        // per-observation |log deviation| clamp
   bool enabled = true;
-
-  /// Parse the MPAS_DRIFT grammar: "off" disables, otherwise a comma list
-  /// of key=value pairs (ratio=, lambda=, delta=, alpha=, warmup=,
-  /// confirm=, clamp=). Unknown keys and malformed values warn and keep
-  /// the default — a typo degrades to stock behaviour, never a crash.
-  static DriftPolicy parse(const std::string& text);
-  /// parse(MPAS_DRIFT) when set, defaults otherwise.
-  static DriftPolicy from_env();
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// One raised alarm (also appended to the queryable alarm log).

@@ -5,6 +5,7 @@
 
 #include "obs/profiling/profile_trace.hpp"
 #include "obs/trace.hpp"
+#include "util/env.hpp"
 
 namespace mpas::obs::profiling {
 
@@ -192,7 +193,7 @@ PerfProfiler& PerfProfiler::global() {
   // record safely during shutdown.
   static PerfProfiler* profiler = [] {
     auto* p = new PerfProfiler();
-    if (const auto path = env_profile_path()) {
+    if (const auto path = env::text("MPAS_PROFILE")) {
       p->set_enabled(true);
       {
         const util::LockGuard lock(profile_session_mutex());
@@ -206,12 +207,6 @@ PerfProfiler& PerfProfiler::global() {
 }
 
 // ---- environment/file session ---------------------------------------------
-
-std::optional<std::string> env_profile_path() {
-  const char* path = std::getenv("MPAS_PROFILE");
-  if (path == nullptr || *path == '\0') return std::nullopt;
-  return std::string(path);
-}
 
 void start_profile_file(std::string path) {
   PerfProfiler::global().set_enabled(true);

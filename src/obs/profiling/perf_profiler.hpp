@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -169,9 +168,6 @@ class ProfileScope {
 };
 
 // ---- environment/file session ---------------------------------------------
-
-/// Path named by the MPAS_PROFILE environment variable, if any.
-std::optional<std::string> env_profile_path();
 
 /// Enable the global profiler and arrange for its ProfileStore JSON to be
 /// written to `path` at process exit (and on write_profile_now()). When a

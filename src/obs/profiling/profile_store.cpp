@@ -52,17 +52,7 @@ std::string Profile::to_json() const {
   sorted.sort_entries();
   std::string out = "{\n";
   out += "  \"schema\": \"mpas-profile-v1\",\n";
-  out += "  \"env\": {\n";
-  out += "    \"git_sha\": " + quoted(env.git_sha) + ",\n";
-  out += "    \"compiler\": " + quoted(env.compiler) + ",\n";
-  out += "    \"build_type\": " + quoted(env.build_type) + ",\n";
-  out += "    \"flags\": " + quoted(env.flags) + ",\n";
-  out += "    \"os\": " + quoted(env.os) + ",\n";
-  out += "    \"hardware_threads\": " + std::to_string(env.hardware_threads) +
-         ",\n";
-  out += "    \"machine_preset\": " + quoted(env.machine_preset) + ",\n";
-  out += "    \"mesh_level\": " + std::to_string(env.mesh_level) + "\n";
-  out += "  },\n";
+  out += "  \"env\": " + env.to_json() + ",\n";
   out += "  \"threads\": " + std::to_string(threads) + ",\n";
   out += "  \"backend\": " + quoted(backend) + ",\n";
   out += std::string("  \"counters_available\": ") +
@@ -103,16 +93,7 @@ Profile Profile::from_json(const std::string& text) {
                  "unknown profile schema '" << doc.at("schema").as_string()
                                             << "'");
   Profile p;
-  const json::Value& env = doc.at("env");
-  p.env.git_sha = env.at("git_sha").as_string();
-  p.env.compiler = env.at("compiler").as_string();
-  p.env.build_type = env.at("build_type").as_string();
-  p.env.flags = env.at("flags").as_string();
-  p.env.os = env.at("os").as_string();
-  p.env.hardware_threads =
-      static_cast<int>(env.at("hardware_threads").as_number());
-  p.env.machine_preset = env.at("machine_preset").as_string();
-  p.env.mesh_level = static_cast<int>(env.at("mesh_level").as_number());
+  p.env = bench_harness::EnvFingerprint::from_json(doc.at("env"));
   p.threads = static_cast<int>(doc.at("threads").as_number());
   p.backend = doc.at("backend").as_string();
   p.counters_available = doc.at("counters_available").as_bool();

@@ -1,9 +1,9 @@
 #include "obs/telemetry/event_log.hpp"
 
 #include <charconv>
-#include <cstdlib>
 
 #include "obs/trace.hpp"  // json_escape, json_number
+#include "util/env.hpp"
 #include "util/timer.hpp"
 
 namespace mpas::obs::telemetry {
@@ -111,12 +111,6 @@ WideEvent& WideEvent::add(const char* key, const char* value) & {
   return *this;
 }
 
-std::optional<std::string> env_events_path() {
-  const char* path = std::getenv("MPAS_EVENTS");
-  if (path == nullptr || *path == '\0') return std::nullopt;
-  return std::string(path);
-}
-
 std::string to_jsonl(const WideEvent& event) {
   return render(event, event.ts_s);
 }
@@ -130,7 +124,7 @@ std::string attrs_json(const WideEvent& event) {
 EventLog& EventLog::global() {
   static EventLog log;
   static const bool armed = [] {
-    if (const auto path = env_events_path()) log.open(*path);
+    if (const auto path = env::text("MPAS_EVENTS")) log.open(*path);
     return true;
   }();
   (void)armed;

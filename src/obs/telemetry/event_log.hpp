@@ -33,7 +33,6 @@
 #include <concepts>
 #include <cstdint>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -140,9 +139,6 @@ class EventLog {
   std::string path_ MPAS_GUARDED_BY(mutex_);
   std::uint64_t written_ MPAS_GUARDED_BY(mutex_) = 0;
 };
-
-/// Path named by the MPAS_EVENTS environment variable, if any.
-std::optional<std::string> env_events_path();
 
 /// Render one event as its JSONL line (no trailing newline).
 std::string to_jsonl(const WideEvent& event);

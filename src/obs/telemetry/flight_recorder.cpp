@@ -1,7 +1,8 @@
 #include "obs/telemetry/flight_recorder.hpp"
 
-#include <cstdlib>
 #include <fstream>
+
+#include "util/env.hpp"
 
 namespace mpas::obs::telemetry {
 
@@ -90,9 +91,7 @@ FlightDumpPolicy FlightDumpPolicy::parse(const std::string& spec) {
 }
 
 FlightDumpPolicy FlightDumpPolicy::from_env() {
-  const char* raw = std::getenv("MPAS_FLIGHT_DUMP");
-  if (raw == nullptr) return {};
-  return parse(raw);
+  return parse(env::text("MPAS_FLIGHT_DUMP").value_or(""));
 }
 
 }  // namespace mpas::obs::telemetry

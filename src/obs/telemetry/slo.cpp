@@ -1,9 +1,6 @@
 #include "obs/telemetry/slo.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-
-#include "util/env.hpp"
 
 namespace mpas::obs::telemetry {
 
@@ -19,29 +16,6 @@ const char* to_string(SloDimension dimension) {
       return "errors";
   }
   return "unknown";
-}
-
-SloPolicy SloPolicy::from_env() {
-  SloPolicy policy;
-  policy.window = static_cast<std::size_t>(env_long(
-      "MPAS_SLO_WINDOW", static_cast<long>(policy.window), 1, 1L << 20));
-  if (const char* raw = std::getenv("MPAS_SLO_TARGET");
-      raw != nullptr && *raw != '\0') {
-    char* end = nullptr;
-    const double target = std::strtod(raw, &end);
-    if (end != raw && *end == '\0' && target > 0 && target < 1) {
-      policy.target.fill(static_cast<Real>(target));
-    }
-  }
-  if (const char* raw = std::getenv("MPAS_SLO_LATENCY_BUDGET_US");
-      raw != nullptr && *raw != '\0') {
-    char* end = nullptr;
-    const double budget = std::strtod(raw, &end);
-    if (end != raw && *end == '\0' && budget > 0) {
-      policy.admission_latency_budget_us = static_cast<Real>(budget);
-    }
-  }
-  return policy;
 }
 
 SloTracker::SloTracker(SloPolicy policy) : policy_(policy) {

@@ -51,11 +51,6 @@ struct SloPolicy {
   /// Wall-clock budget for one admission decision (the latency SLO's
   /// per-sample pass/fail threshold).
   Real admission_latency_budget_us = 250000;
-
-  /// Environment overrides: MPAS_SLO_WINDOW (samples), MPAS_SLO_TARGET
-  /// (one fraction applied to every dimension), and
-  /// MPAS_SLO_LATENCY_BUDGET_US. Malformed values keep the defaults.
-  [[nodiscard]] static SloPolicy from_env();
 };
 
 /// What one record() call did to the window it landed in.

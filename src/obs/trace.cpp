@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "obs/trace_export.hpp"
+#include "util/env.hpp"
 #include "util/lock_ranks.hpp"
 #include "util/mutex.hpp"
 #include "util/timer.hpp"
@@ -52,7 +53,7 @@ TraceRecorder& TraceRecorder::global() {
   // flush during static destruction; a destructed recorder would dangle.
   static TraceRecorder* recorder = [] {
     auto* rec = new TraceRecorder();
-    if (const auto path = env_trace_path()) {
+    if (const auto path = env::text("MPAS_TRACE")) {
       rec->set_enabled(true);
       {
         util::LockGuard lock(session_mutex());
@@ -188,12 +189,6 @@ void TraceRecorder::clear() {
 }
 
 // ---- environment/file session ----------------------------------------------
-
-std::optional<std::string> env_trace_path() {
-  const char* path = std::getenv("MPAS_TRACE");
-  if (path == nullptr || *path == '\0') return std::nullopt;
-  return std::string(path);
-}
 
 void start_trace_file(std::string path) {
   TraceRecorder& rec = TraceRecorder::global();

@@ -22,7 +22,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -132,9 +131,6 @@ class TraceRecorder {
 };
 
 // ---- environment/file session ---------------------------------------------
-
-/// Path named by the MPAS_TRACE environment variable, if any.
-std::optional<std::string> env_trace_path();
 
 /// Enable the global recorder and arrange for the Chrome-trace JSON to be
 /// written to `path` at process exit (and on write_trace_now()). Called

@@ -2,14 +2,9 @@
 
 #include <numeric>
 
-#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace mpas::resilience {
-
-Real default_channel_timeout_ms() {
-  return static_cast<Real>(env_long("MPAS_CHANNEL_TIMEOUT_MS", 30000));
-}
 
 namespace {
 

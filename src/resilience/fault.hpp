@@ -161,17 +161,13 @@ class FaultInjector {
   InjectorStats stats_ MPAS_GUARDED_BY(mutex_);
 };
 
-/// Default hard deadline per receive: the MPAS_CHANNEL_TIMEOUT_MS
-/// environment variable when set, else 30000 ms.
-Real default_channel_timeout_ms();
-
 /// Bounded-retry policy shared by the message channel and the offload link.
 struct RetryPolicy {
   int max_attempts = 4;        // delivery attempts per message/transfer
   Real resend_wait_ms = 1.0;   // patience before declaring a posted-but-
                                // missing message dropped (a transport may
                                // still be delivering it)
-  Real total_timeout_ms = default_channel_timeout_ms();  // deadline/receive
+  Real total_timeout_ms = 30000;  // hard deadline per receive
 };
 
 }  // namespace mpas::resilience

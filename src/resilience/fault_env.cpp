@@ -1,10 +1,10 @@
 #include "resilience/fault_env.hpp"
 
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <sstream>
 
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace mpas::resilience {
@@ -198,9 +198,9 @@ FaultInjector* env_fault_injector() {
   static std::unique_ptr<FaultInjector> injector;
   static std::once_flag once;
   std::call_once(once, [] {
-    const char* text = std::getenv("MPAS_FAULT");
-    if (text == nullptr || *text == '\0') return;
-    const FaultCampaign campaign = parse_fault_campaign(text);
+    const auto text = env::text("MPAS_FAULT");
+    if (!text) return;
+    const FaultCampaign campaign = parse_fault_campaign(*text);
     injector = std::make_unique<FaultInjector>(campaign.seed);
     arm_campaign(*injector, campaign);
   });

@@ -52,9 +52,9 @@ class SelfHealingHybrid {
     /// "service.session7."), so concurrent instances write distinguishable
     /// series. Empty keeps the historical process-global names.
     std::string metric_scope;
-    /// Online model-drift detection policy (MPAS_DRIFT overrides the
-    /// defaults; drift.enabled=false turns the monitor into a no-op).
-    obs::profiling::DriftPolicy drift = obs::profiling::DriftPolicy::from_env();
+    /// Online model-drift detection policy (drift.enabled=false turns the
+    /// monitor into a no-op).
+    obs::profiling::DriftPolicy drift;
   };
 
   SelfHealingHybrid(const mesh::VoronoiMesh& mesh, sw::SwParams params,

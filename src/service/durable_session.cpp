@@ -1,6 +1,5 @@
 #include "service/durable_session.hpp"
 
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 #include <utility>
@@ -18,13 +17,9 @@ namespace fs = std::filesystem;
 
 DurabilityPolicy DurabilityPolicy::from_env() {
   DurabilityPolicy policy;
-  if (const char* dir = std::getenv("MPAS_CHECKPOINT_DIR");
-      dir != nullptr && *dir != '\0')
-    policy.dir = dir;
-  policy.every =
-      static_cast<int>(env_long("MPAS_CHECKPOINT_EVERY", policy.every, 1));
-  policy.keep =
-      static_cast<int>(env_long("MPAS_CHECKPOINT_KEEP", policy.keep, 1));
+  policy.dir = env::text("MPAS_CHECKPOINT_DIR").value_or("");
+  policy.every = static_cast<int>(env::integer("MPAS_CHECKPOINT_EVERY"));
+  policy.keep = static_cast<int>(env::integer("MPAS_CHECKPOINT_KEEP"));
   return policy;
 }
 

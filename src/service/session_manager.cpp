@@ -11,7 +11,6 @@
 #include "resilience/fault_env.hpp"
 #include "service/facts.hpp"
 #include "service/session.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/lock_ranks.hpp"
 #include "util/logging.hpp"
@@ -324,11 +323,7 @@ void SessionManager::run_one(std::uint64_t id) {
         rec.result = local;
         finish_locked(rec, local.state, local.reason, local.reason_code);
       }
-      // A session the journal just marked terminal can never be recovered:
-      // its checkpoint generations are dead weight. File I/O, so strictly
-      // after the lock.
-      if (rec.durable != nullptr) rec.durable->retire();
-      flush_flight_dumps();
+      after_terminal(rec);
       return;
     } catch (const TransientError& e) {
       // Exponential backoff in modeled seconds, charged to the deadline.
@@ -365,8 +360,7 @@ void SessionManager::run_one(std::uint64_t id) {
         }
       }
       if (terminal) {
-        if (rec.durable != nullptr) rec.durable->retire();
-        flush_flight_dumps();
+        after_terminal(rec);
         return;
       }
       MPAS_LOG_WARN << "session " << id << " attempt " << attempt
@@ -383,11 +377,21 @@ void SessionManager::run_one(std::uint64_t id) {
         finish_locked(rec, SessionState::Failed, os.str(),
                       ReasonCode::SessionFault);
       }
-      if (rec.durable != nullptr) rec.durable->retire();
-      flush_flight_dumps();
+      after_terminal(rec);
       return;
     }
   }
+}
+
+void SessionManager::after_terminal(Record& rec) {
+  // A session the journal has marked terminal can never be recovered: its
+  // checkpoint generations are dead weight, and its writer thread has
+  // nothing left to write, so the checkpointer goes (joining the thread).
+  if (rec.durable != nullptr) {
+    rec.durable->retire();
+    rec.durable.reset();
+  }
+  flush_flight_dumps();
 }
 
 void SessionManager::finish_locked(Record& rec, SessionState state,
@@ -562,10 +566,8 @@ void SessionManager::set_paused(bool paused) {
 }
 
 bool SessionManager::drain(long timeout_ms) {
-  const long resolved =
-      resolve_timeout_ms(timeout_ms, "MPAS_SERVICE_DRAIN_TIMEOUT_MS", 120000);
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(resolved);
+                        std::chrono::milliseconds(timeout_ms);
   util::UniqueLock lock(mutex_);
   // Inline predicate loop (not wait_until(lock, deadline, pred)): the
   // thread-safety analysis checks this body with mutex_ held.

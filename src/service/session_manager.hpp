@@ -50,8 +50,8 @@ struct ServiceOptions {
   /// (doubled per retry, charged against the deadline).
   int max_attempts = 3;
   Real backoff_start_modeled_s = 0.05;
-  /// Per-tenant SLO windows/targets (MPAS_SLO_* env knobs by default).
-  obs::telemetry::SloPolicy slo = obs::telemetry::SloPolicy::from_env();
+  /// Per-tenant SLO windows and targets.
+  obs::telemetry::SloPolicy slo;
   /// Flight-recorder dump policy (MPAS_FLIGHT_DUMP grammar by default).
   obs::telemetry::FlightDumpPolicy flight_dump =
       obs::telemetry::FlightDumpPolicy::from_env();
@@ -112,10 +112,9 @@ class SessionManager {
   /// fairness at saturation.
   void set_paused(bool paused);
 
-  /// Block until every submitted session is terminal. timeout_ms = -1
-  /// reads MPAS_SERVICE_DRAIN_TIMEOUT_MS (default 120000). False on
-  /// timeout.
-  bool drain(long timeout_ms = -1);
+  /// Block until every submitted session is terminal, at most timeout_ms
+  /// of wall time. False on timeout.
+  bool drain(long timeout_ms = 120000);
 
   /// Stop accepting work, cancel queued sessions, join the workers.
   void shutdown();
@@ -151,8 +150,9 @@ class SessionManager {
     /// Crash-recovery restore point (recovered sessions only).
     std::optional<ResumeState> resume;
     /// Durable checkpointer, created by run_one *outside* the manager lock
-    /// (opening the store is file I/O). unique_ptr for the same stable-
-    /// address reason as the flight recorder.
+    /// (opening the store is file I/O) and released by after_terminal.
+    /// unique_ptr for the same stable-address reason as the flight
+    /// recorder.
     std::unique_ptr<SessionCheckpointer> durable;
   };
 
@@ -186,6 +186,10 @@ class SessionManager {
       MPAS_REQUIRES(mutex_);
   /// Write out dumps queued by finish_locked, outside the lock.
   void flush_flight_dumps() MPAS_EXCLUDES(mutex_);
+  /// run_one's last act once `rec` is terminal, outside the lock (file
+  /// I/O and a thread join): retire and release its durable checkpointer,
+  /// then flush the queued flight dumps.
+  void after_terminal(Record& rec) MPAS_EXCLUDES(mutex_);
   /// Fold one SLO sample, publish service.slo.* gauges, and record the
   /// slo_breach fact on a breach (lock held).
   void record_slo_locked(const std::string& tenant,

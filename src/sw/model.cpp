@@ -7,6 +7,7 @@
 #include "partition/halo.hpp"
 #include "sw/reference.hpp"
 #include "sw/verify.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -445,7 +446,7 @@ SwModel::SwModel(const mesh::VoronoiMesh& mesh,
   // Opt-in declared-vs-actual verification: cross-check every pattern's
   // access sets, edges, halo syncs, and the node-parallel schedule before
   // the model is allowed to run.
-  if (verify_mode_enabled()) {
+  if (env::flag("MPAS_VERIFY")) {
     const analysis::Report report =
         verify_sw_graphs(graphs_, ctx_.get(), {}, local_);
     obs::MetricsRegistry::global()
@@ -460,7 +461,7 @@ SwModel::SwModel(const mesh::VoronoiMesh& mesh,
       MPAS_LOG_INFO << "MPAS_VERIFY: data-flow graphs verified clean ("
                     << report.diagnostics().size() << " informational)";
     MPAS_CHECK_MSG(report.clean(),
-                   "MPAS_VERIFY=1: the schedule & data-flow verifier found "
+                   "MPAS_VERIFY: the schedule & data-flow verifier found "
                        << report.errors() << " error(s):\n"
                        << report.to_string());
   }

@@ -1,7 +1,6 @@
 #include "sw/verify.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -186,11 +185,6 @@ analysis::Report verify_sw_graphs(const SwGraphs& graphs, SwContext* ctx,
     }
   }
   return report;
-}
-
-bool verify_mode_enabled() {
-  const char* env = std::getenv("MPAS_VERIFY");
-  return env != nullptr && std::string(env) == "1";
 }
 
 }  // namespace mpas::sw

@@ -15,8 +15,8 @@
 //   * verify_sw_graphs — graph-level static checks + both of the above for
 //     all three RK graphs.
 //
-// SwModel runs verify_sw_graphs at construction when MPAS_VERIFY=1 is set
-// in the environment and refuses to start on any error-severity finding.
+// SwModel runs verify_sw_graphs at construction when the MPAS_VERIFY flag
+// is on (util/env.hpp) and refuses to start on any error-severity finding.
 #pragma once
 
 #include "analysis/graph_check.hpp"
@@ -53,9 +53,5 @@ struct VerifyOptions {
 analysis::Report verify_sw_graphs(const SwGraphs& graphs, SwContext* ctx,
                                   const VerifyOptions& options = {},
                                   const partition::LocalMesh* local_mesh = {});
-
-/// True when the MPAS_VERIFY environment variable is "1" (any other value,
-/// or unset, disables verification).
-bool verify_mode_enabled();
 
 }  // namespace mpas::sw

@@ -2,16 +2,17 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 
+#include "util/env.hpp"
 #include "util/timer.hpp"
 
 namespace mpas {
 
 Logger::Logger() {
-  if (const char* env = std::getenv("MPAS_LOG_LEVEL"); env != nullptr) {
-    if (const auto parsed = parse_level(env)) level_ = *parsed;
-  }
+  // An unknown level keeps Info silently: warning here would re-enter
+  // instance() while it is being initialized.
+  if (const auto parsed = parse_level(*env::text("MPAS_LOG_LEVEL")))
+    level_ = *parsed;
 }
 
 Logger& Logger::instance() {

@@ -13,7 +13,9 @@
 #include "obs/metrics.hpp"
 #include "sw/model.hpp"
 #include "sw/verify.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
+#include "util/logging.hpp"
 
 namespace mpas {
 namespace {
@@ -348,14 +350,32 @@ TEST(Offload, TransferObserverSeesEveryDelivery) {
 
 TEST(ModelVerify, FullModelConstructsCleanUnderMpasVerify) {
   ASSERT_EQ(setenv("MPAS_VERIFY", "1", 1), 0);
-  EXPECT_TRUE(sw::verify_mode_enabled());
+  EXPECT_TRUE(env::flag("MPAS_VERIFY"));
   const auto mesh = mesh::get_global_mesh(2);
   sw::SwParams params;
   params.dt = 60.0;
   params.with_tracer = true;
   EXPECT_NO_THROW({ sw::SwModel model(*mesh, params); });
   ASSERT_EQ(unsetenv("MPAS_VERIFY"), 0);
-  EXPECT_FALSE(sw::verify_mode_enabled());
+  EXPECT_FALSE(env::flag("MPAS_VERIFY"));
+}
+
+// "true" is a flag value like "1": the model runs the battery and says so.
+TEST(ModelVerify, TrueArmsTheVerifier) {
+  const auto mesh = mesh::get_global_mesh(2);
+  sw::SwParams params;
+  params.dt = 60.0;
+  const LogLevel level = Logger::instance().level();
+  Logger::instance().set_level(LogLevel::Info);
+  ASSERT_EQ(setenv("MPAS_VERIFY", "true", 1), 0);
+  testing::internal::CaptureStderr();
+  { const sw::SwModel model(*mesh, params); }
+  const std::string log = testing::internal::GetCapturedStderr();
+  ASSERT_EQ(unsetenv("MPAS_VERIFY"), 0);
+  Logger::instance().set_level(level);
+  EXPECT_NE(log.find("MPAS_VERIFY: data-flow graphs verified clean"),
+            std::string::npos)
+      << log;
 }
 
 }  // namespace

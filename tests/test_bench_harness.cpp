@@ -24,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sw/model.hpp"
+#include "util/env.hpp"
 
 namespace mpas::bench_harness {
 namespace {
@@ -160,6 +161,21 @@ BenchReport make_report() {
   return report;
 }
 
+// Reports written before the configuration was recorded (the committed
+// baselines) have no "config" member; they read with an empty one.
+TEST(EnvFingerprintTest, MissingConfigReadsAsEmpty) {
+  const std::string old =
+      R"({"git_sha":"abc","compiler":"gcc 12.2.0","build_type":"Release",)"
+      R"("flags":"-O3","os":"linux","hardware_threads":4,)"
+      R"("machine_preset":"paper_platform","mesh_level":-1})";
+  const EnvFingerprint fp = EnvFingerprint::from_json(obs::json::parse(old));
+  EXPECT_EQ(fp.git_sha, "abc");
+  EXPECT_EQ(fp.hardware_threads, 4);
+  EXPECT_TRUE(fp.config.empty());
+  EXPECT_EQ(fp.to_json(),
+            old.substr(0, old.size() - 1) + R"(,"config":{}})");
+}
+
 TEST(BenchReportTest, JsonRoundTripIsExact) {
   const BenchReport report = make_report();
   const std::string path = temp_path("mpas_bench_report_roundtrip.json");
@@ -172,6 +188,9 @@ TEST(BenchReportTest, JsonRoundTripIsExact) {
   EXPECT_EQ(back.environment().compiler, report.environment().compiler);
   EXPECT_EQ(back.environment().mesh_level, 6);
   EXPECT_TRUE(back.environment().comparable(report.environment()));
+  // The resolved MPAS_* configuration travels with the numbers.
+  EXPECT_EQ(back.environment().config.size(), std::size(env::kVariables));
+  EXPECT_EQ(back.environment().config, report.environment().config);
 
   ASSERT_EQ(back.series().size(), report.series().size());
   for (std::size_t i = 0; i < report.series().size(); ++i) {
@@ -573,13 +592,13 @@ TEST(MetricsSessionTest, WriteMetricsNowDumpsGlobalRegistry) {
 }
 
 TEST(MetricsSessionTest, EnvPathReadsEnvironment) {
-  // env_metrics_path reflects MPAS_METRICS; unset in the test environment.
+  // env::text reflects MPAS_METRICS; unset in the test environment.
   if (std::getenv("MPAS_METRICS") == nullptr) {
-    EXPECT_FALSE(env_metrics_path().has_value());
+    EXPECT_FALSE(env::text("MPAS_METRICS").has_value());
   }
   setenv("MPAS_METRICS", "/tmp/mpas_metrics_env_test.json", 1);
-  ASSERT_TRUE(env_metrics_path().has_value());
-  EXPECT_EQ(*env_metrics_path(), "/tmp/mpas_metrics_env_test.json");
+  ASSERT_TRUE(env::text("MPAS_METRICS").has_value());
+  EXPECT_EQ(*env::text("MPAS_METRICS"), "/tmp/mpas_metrics_env_test.json");
   unsetenv("MPAS_METRICS");
 }
 

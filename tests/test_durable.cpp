@@ -786,6 +786,41 @@ class ServiceRecovery : public ::testing::Test {
   }
 };
 
+/// Live threads of this process: one /proc/self/task entry each.
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for (const auto& entry : fs::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// A finished session's durable writer thread is joined when the session
+// goes terminal, not left idle until the manager is destroyed: sessions
+// run to terminal on one live manager leave its thread count unchanged.
+TEST_F(ServiceRecovery, FinishedSessionsReleaseTheirWriterThreads) {
+  TempDir dir("threads");
+  SessionManager manager(options(policy(dir.path())));
+  // Warm-up: whatever a first session starts lazily is running by now.
+  manager.submit(request());
+  ASSERT_TRUE(manager.drain());
+  const std::size_t before = live_threads();
+
+  for (int i = 0; i < 6; ++i) manager.submit(request());
+  ASSERT_TRUE(manager.drain());
+  for (const SessionResult& r : manager.results())
+    EXPECT_EQ(r.state, SessionState::Completed) << r.reason;
+  // A joined thread can stay listed for a moment while the kernel reaps
+  // it, in either count; only growth is a leak.
+  std::size_t after = live_threads();
+  for (int i = 0; i < 200 && after > before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = live_threads();
+  }
+  EXPECT_LE(after, before);
+}
+
 TEST_F(ServiceRecovery, ResumesBitwiseFromDurableCheckpoint) {
   TempDir dir("recover");
   const DurabilityPolicy p = policy(dir.path());

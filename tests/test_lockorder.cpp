@@ -353,9 +353,18 @@ TEST(LockOrder, InstallFromEnvHonorsTheVariable) {
   EXPECT_FALSE(LockOrderRegistry::install_from_env());
   EXPECT_FALSE(registry.installed());
 
-  ::setenv("MPAS_LOCK_CHECK", "0", 1);
-  EXPECT_FALSE(LockOrderRegistry::install_from_env());
-  EXPECT_FALSE(registry.installed());
+  // Off for "0" and "false"; anything but a flag value warns and keeps
+  // the default, off.
+  for (const char* off : {"0", "false", "off"}) {
+    ::setenv("MPAS_LOCK_CHECK", off, 1);
+    EXPECT_FALSE(LockOrderRegistry::install_from_env()) << off;
+    EXPECT_FALSE(registry.installed()) << off;
+  }
+
+  ::setenv("MPAS_LOCK_CHECK", "true", 1);
+  EXPECT_TRUE(LockOrderRegistry::install_from_env());
+  EXPECT_TRUE(registry.installed());
+  registry.uninstall();
 
   ::setenv("MPAS_LOCK_CHECK", "1", 1);
   EXPECT_TRUE(LockOrderRegistry::install_from_env());

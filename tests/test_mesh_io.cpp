@@ -94,6 +94,34 @@ TEST(MeshIo, TrailingGarbageDetected) {
   std::remove(path.c_str());
 }
 
+// MPAS_MESH_CACHE set but empty means the default directory, ./mesh_cache,
+// as an empty value means the default for every MPAS_* variable.
+TEST(MeshCache, EmptyVariableMeansTheDefaultDirectory) {
+  const std::filesystem::path home = std::filesystem::current_path();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mpas_cache_default_" + std::to_string(static_cast<long>(::getpid())));
+  std::filesystem::create_directories(dir);
+  const std::optional<std::string> prev =
+      ::getenv("MPAS_MESH_CACHE") != nullptr
+          ? std::optional<std::string>(::getenv("MPAS_MESH_CACHE"))
+          : std::nullopt;
+  ::setenv("MPAS_MESH_CACHE", "", 1);
+  std::filesystem::current_path(dir);
+  const auto mesh = get_global_mesh(0);  // no other test builds level 0
+  const bool cached =
+      std::filesystem::exists(dir / "mesh_cache" / "icos_level0.mpasmesh");
+  std::filesystem::current_path(home);
+  if (prev)
+    ::setenv("MPAS_MESH_CACHE", prev->c_str(), 1);
+  else
+    ::unsetenv("MPAS_MESH_CACHE");
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  ASSERT_NE(mesh, nullptr);
+  EXPECT_TRUE(cached);
+}
+
 // The cache must *regenerate* (not crash, not trust) on a corrupt file:
 // point MPAS_MESH_CACHE at a directory holding a damaged level-2 file and
 // ask for the mesh — the damaged file is replaced and the result valid.

@@ -25,6 +25,7 @@
 #include "service/session_manager.hpp"
 #include "sw/model.hpp"
 #include "sw/testcases.hpp"
+#include "util/env.hpp"
 #include "util/timer.hpp"
 
 namespace mpas::obs {
@@ -321,11 +322,12 @@ TEST(TraceBridge, ModeledScheduleGetsOneTrackWithOneLanePerTimeline) {
 
 TEST(TraceSession, EnvVariableNamesThePath) {
   ASSERT_EQ(::setenv("MPAS_TRACE", "from_env.json", 1), 0);
-  EXPECT_EQ(env_trace_path(), std::optional<std::string>("from_env.json"));
+  EXPECT_EQ(env::text("MPAS_TRACE"),
+            std::optional<std::string>("from_env.json"));
   ASSERT_EQ(::setenv("MPAS_TRACE", "", 1), 0);
-  EXPECT_EQ(env_trace_path(), std::nullopt);
+  EXPECT_EQ(env::text("MPAS_TRACE"), std::nullopt);
   ::unsetenv("MPAS_TRACE");
-  EXPECT_EQ(env_trace_path(), std::nullopt);
+  EXPECT_EQ(env::text("MPAS_TRACE"), std::nullopt);
 }
 
 TEST(TraceSession, FileRoundTripThroughTwoRankDistributedRun) {

@@ -1,5 +1,5 @@
 // Telemetry layer contract: SLO rolling-window and burn-rate arithmetic,
-// policy environment overrides, the flight recorder's ring semantics and
+// the flight recorder's ring semantics and
 // JSONL dump (parsed back with the in-repo reader), the MPAS_FLIGHT_DUMP
 // grammar, the wide-event JSONL sink and its typed attrs, and the
 // steady-state overhead budget of one service fact recorded through
@@ -106,32 +106,6 @@ TEST(SloPolicy, DimensionNamesAreStable) {
   EXPECT_STREQ(to_string(SloDimension::DeadlineMiss), "deadline");
   EXPECT_STREQ(to_string(SloDimension::DegradedFidelity), "fidelity");
   EXPECT_STREQ(to_string(SloDimension::ErrorRate), "errors");
-}
-
-TEST(SloPolicy, FromEnvOverridesAndFallsBackOnGarbage) {
-  setenv("MPAS_SLO_WINDOW", "8", 1);
-  setenv("MPAS_SLO_TARGET", "0.5", 1);
-  setenv("MPAS_SLO_LATENCY_BUDGET_US", "1000", 1);
-  SloPolicy policy = SloPolicy::from_env();
-  EXPECT_EQ(policy.window, 8u);
-  for (int d = 0; d < kSloDimensions; ++d)
-    EXPECT_DOUBLE_EQ(policy.target[d], 0.5);
-  EXPECT_DOUBLE_EQ(policy.admission_latency_budget_us, 1000);
-
-  // Malformed / out-of-range values keep the defaults.
-  setenv("MPAS_SLO_TARGET", "1.5", 1);
-  setenv("MPAS_SLO_LATENCY_BUDGET_US", "banana", 1);
-  unsetenv("MPAS_SLO_WINDOW");
-  policy = SloPolicy::from_env();
-  const SloPolicy defaults;
-  EXPECT_EQ(policy.window, defaults.window);
-  EXPECT_DOUBLE_EQ(policy.target[0], defaults.target[0]);
-  EXPECT_DOUBLE_EQ(policy.admission_latency_budget_us,
-                   defaults.admission_latency_budget_us);
-
-  unsetenv("MPAS_SLO_WINDOW");
-  unsetenv("MPAS_SLO_TARGET");
-  unsetenv("MPAS_SLO_LATENCY_BUDGET_US");
 }
 
 // -------------------------------------------------------- flight recorder

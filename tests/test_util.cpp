@@ -1,14 +1,20 @@
 // Unit tests for the util substrate: aligned storage, 2-D arrays, spherical
-// geometry, config parsing, log levels, and table rendering.
+// geometry, config parsing, the declared MPAS_* environment, log levels,
+// and table rendering.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "util/aligned_vector.hpp"
 #include "util/array2d.hpp"
 #include "util/config.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
@@ -131,6 +137,143 @@ TEST(Config, RejectsMalformedNumbers) {
   EXPECT_THROW(static_cast<void>(cfg.get_int("n", 0)), Error);
   cfg.set("b", "maybe");
   EXPECT_THROW(static_cast<void>(cfg.get_bool("b", false)), Error);
+}
+
+// ---- env: the declared MPAS_* variables ------------------------------------
+
+/// Sets (value) or unsets (nullptr) one variable for the guard's scope and
+/// restores what the process had before.
+class EnvGuard {
+ public:
+  EnvGuard(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value != nullptr)
+      ::setenv(name, value, 1);
+    else
+      ::unsetenv(name);
+  }
+  ~EnvGuard() {
+    if (old_)
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  EnvGuard(const EnvGuard&) = delete;
+  EnvGuard& operator=(const EnvGuard&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// What `read` logs at Warn level or above, whatever MPAS_LOG_LEVEL says.
+template <class Read>
+std::string warnings_of(Read read) {
+  const LogLevel level = Logger::instance().level();
+  Logger::instance().set_level(LogLevel::Warn);
+  testing::internal::CaptureStderr();
+  read();
+  std::string log = testing::internal::GetCapturedStderr();
+  Logger::instance().set_level(level);
+  return log;
+}
+
+TEST(Env, UnsetOrEmptyMeansTheDefault) {
+  for (const char* value : {static_cast<const char*>(nullptr), ""}) {
+    const EnvGuard cache("MPAS_MESH_CACHE", value);
+    const EnvGuard trace("MPAS_TRACE", value);
+    const EnvGuard every("MPAS_CHECKPOINT_EVERY", value);
+    const EnvGuard verify("MPAS_VERIFY", value);
+    EXPECT_EQ(env::text("MPAS_MESH_CACHE"), "mesh_cache");
+    EXPECT_EQ(env::text("MPAS_TRACE"), std::nullopt);
+    EXPECT_EQ(env::integer("MPAS_CHECKPOINT_EVERY"), 10);
+    EXPECT_FALSE(env::flag("MPAS_VERIFY"));
+  }
+  const EnvGuard trace("MPAS_TRACE", "t.json");
+  EXPECT_EQ(env::text("MPAS_TRACE"), "t.json");
+}
+
+TEST(Env, FlagIsOnForOneOrTrueAndOffForZeroOrFalse) {
+  for (const char* on : {"1", "true"}) {
+    const EnvGuard guard("MPAS_LOCK_CHECK", on);
+    EXPECT_TRUE(env::flag("MPAS_LOCK_CHECK")) << on;
+  }
+  for (const char* off : {"0", "false"}) {
+    const EnvGuard guard("MPAS_LOCK_CHECK", off);
+    EXPECT_FALSE(env::flag("MPAS_LOCK_CHECK")) << off;
+  }
+}
+
+TEST(Env, MalformedFlagWarnsAndKeepsTheDefault) {
+  const EnvGuard guard("MPAS_VERIFY", "yes");
+  const std::string log =
+      warnings_of([] { EXPECT_FALSE(env::flag("MPAS_VERIFY")); });
+  EXPECT_NE(log.find("MPAS_VERIFY='yes' is not a flag"), std::string::npos)
+      << log;
+}
+
+TEST(Env, MalformedOrOutOfRangeIntegerWarnsAndKeepsTheDefault) {
+  const auto read_keep = [] {
+    EXPECT_EQ(env::integer("MPAS_CHECKPOINT_KEEP"), 3);
+  };
+  {
+    const EnvGuard guard("MPAS_CHECKPOINT_KEEP", "banana");
+    const std::string log = warnings_of(read_keep);
+    EXPECT_NE(log.find("is not an integer; using 3"), std::string::npos)
+        << log;
+  }
+  {
+    const EnvGuard guard("MPAS_CHECKPOINT_KEEP", "0");
+    const std::string log = warnings_of(read_keep);
+    EXPECT_NE(log.find("outside [1, "), std::string::npos) << log;
+  }
+  const EnvGuard guard("MPAS_CHECKPOINT_KEEP", "7");
+  EXPECT_EQ(env::integer("MPAS_CHECKPOINT_KEEP"), 7);
+}
+
+TEST(Env, UndeclaredNameOrWrongKindThrows) {
+  EXPECT_THROW(static_cast<void>(env::text("MPAS_DRIFT")), Error);
+  EXPECT_THROW(static_cast<void>(env::integer("MPAS_SLO_WINDOW")), Error);
+  EXPECT_THROW(static_cast<void>(env::flag("MPAS_TRACE")), Error);
+  EXPECT_THROW(static_cast<void>(env::text("MPAS_CHECKPOINT_EVERY")), Error);
+}
+
+TEST(Env, ResolvedListsEveryVariableWithItsEffectiveValue) {
+  const EnvGuard keep("MPAS_CHECKPOINT_KEEP", "5");
+  const EnvGuard lock("MPAS_LOCK_CHECK", "true");
+  const EnvGuard trace("MPAS_TRACE", nullptr);
+  const auto resolved = env::resolved();
+  ASSERT_EQ(resolved.size(), std::size(env::kVariables));
+  for (std::size_t i = 0; i < resolved.size(); ++i)
+    EXPECT_EQ(resolved[i].first, env::kVariables[i].name);
+  const auto value = [&](const std::string& name) {
+    for (const auto& [n, v] : resolved)
+      if (n == name) return v;
+    return std::string("<missing>");
+  };
+  EXPECT_EQ(value("MPAS_CHECKPOINT_KEEP"), "5");
+  EXPECT_EQ(value("MPAS_LOCK_CHECK"), "1");
+  EXPECT_EQ(value("MPAS_TRACE"), "");
+}
+
+// The README's "Environment variables" table is the user-facing copy of
+// kVariables: the same names, in the same order.
+TEST(Env, ReadmeTableListsTheDeclaredVariables) {
+  std::ifstream readme(std::string(MPAS_SOURCE_DIR) + "/README.md");
+  ASSERT_TRUE(readme.good());
+  std::vector<std::string> documented;
+  bool in_section = false;
+  for (std::string line; std::getline(readme, line);) {
+    if (line.rfind("## ", 0) == 0) in_section = line == "## Environment variables";
+    if (!in_section || line.rfind("| `", 0) != 0) continue;
+    const std::size_t end = line.find('`', 3);
+    ASSERT_NE(end, std::string::npos) << line;
+    documented.push_back(line.substr(3, end - 3));
+  }
+  std::vector<std::string> declared;
+  for (const env::Variable& var : env::kVariables)
+    declared.emplace_back(var.name);
+  EXPECT_EQ(documented, declared);
 }
 
 TEST(Logger, ParsesLevelNamesAndNumbers) {

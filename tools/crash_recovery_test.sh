@@ -6,8 +6,9 @@
 # and then asserts the restarted service recovers: the incomplete session
 # is re-admitted, resumed from its newest intact checkpoint generation,
 # and lands bitwise-identical to the uninterrupted reference trajectory.
-# Finally audits the journal offline with obs_query mode=recovery, reads
-# every flight dump with obs_query (each must parse and hold its session's
+# Finally audits the journal offline with obs_query mode=recovery (which
+# must refuse a require_kind= assertion it does not evaluate), reads every
+# flight dump with obs_query (each must parse and hold its session's
 # terminal fact), and requires one dump that records a recovery fact.
 #
 # Usage: tools/crash_recovery_test.sh <build_dir> <work_dir>
@@ -67,6 +68,13 @@ MPAS_FLIGHT_DUMP="$FLIGHT" \
 echo "== offline audit: journal folds clean, nothing incomplete"
 "$BUILD/examples/obs_query" "$CKPT/journal.jsonl" mode=recovery \
   require_recovered=1
+
+echo "== negative check: recovery mode must not pass an assertion it skips"
+if "$BUILD/examples/obs_query" "$CKPT/journal.jsonl" mode=recovery \
+  require_kind=no_such_kind > /dev/null 2>&1; then
+  echo "FAIL: obs_query mode=recovery accepted require_kind=no_such_kind" >&2
+  exit 1
+fi
 
 echo "== flight dumps: each reads as an event log; one records the recovery"
 DUMPED=0

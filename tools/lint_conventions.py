@@ -12,7 +12,10 @@ Checks, over src/, tests/, examples/, and bench/:
      singletons);
   4. project headers are included by their src/-relative path with quotes
      (`#include "core/dataflow.hpp"`), never by a bare filename or a
-     relative `../` path, so every include names one unambiguous file.
+     relative `../` path, so every include names one unambiguous file;
+  5. no `getenv(` in src/, examples/ or bench/ outside src/util/env.cpp —
+     every MPAS_* variable is declared in util/env.hpp and read through its
+     typed readers (bench/e2e is a separate program that only sets them).
 
 Exit code = number of violations.
 """
@@ -35,6 +38,12 @@ RAW_NEW_ALLOWLIST = {
         "intentionally leaky process-lifetime singleton",
 }
 
+# The one file that reads the process environment.
+GETENV_HOME = "src/util/env.cpp"
+GETENV_DIRS = ("src/", "examples/", "bench/")
+GETENV_EXEMPT = ("bench/e2e/",)
+
+GETENV_RE = re.compile(r"\bgetenv\s*\(")
 RAW_NEW_RE = re.compile(r"(?<![:\w])(new|delete)\b(?!\s*\()")
 DELETED_MEMBER_RE = re.compile(r"=\s*delete\s*(\[\s*\])?\s*;")
 USING_NAMESPACE_RE = re.compile(r"^\s*using\s+namespace\b")
@@ -68,6 +77,13 @@ def lint_file(root: Path, path: Path, project_headers: set) -> list:
             problems.append(
                 f"{rel}:{n}: raw new/delete in src/ — use containers or "
                 "smart pointers")
+
+        if (rel.startswith(GETENV_DIRS) and not rel.startswith(GETENV_EXEMPT)
+                and rel != GETENV_HOME and GETENV_RE.search(code)):
+            problems.append(
+                f"{rel}:{n}: getenv outside {GETENV_HOME} — declare the "
+                "variable in util/env.hpp and read it with env::flag, "
+                "env::integer or env::text")
 
         m = INCLUDE_RE.match(code)
         if m:
