@@ -2,15 +2,14 @@
 // every hook PerfProfiler adds to a hot kernel — the disabled probe (one
 // relaxed load, what every build pays without MPAS_PROFILE), an enabled
 // ProfileScope record (two clock reads + histogram + atomic accumulation),
-// one hardware-counter bracket (the sampled every-Nth-call path; falls
-// back to the no-perf_event stub in containers), and one ModelDriftMonitor
-// observation. Measured series with a committed baseline, gated by
-// bench_compare's wide measured band; the hard <2%-of-a-step budget is
-// asserted in tests/test_profiling.cpp against a real profiled step.
+// and one hardware-counter bracket (the sampled every-Nth-call path; falls
+// back to the no-perf_event stub in containers). Measured series with a
+// committed baseline, gated by bench_compare's wide measured band; the hard
+// <2%-of-a-step budget is asserted in tests/test_profiling.cpp against a
+// real profiled step.
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "obs/profiling/drift.hpp"
 #include "obs/profiling/hw_counters.hpp"
 #include "obs/profiling/perf_profiler.hpp"
 #include "util/config.hpp"
@@ -84,16 +83,6 @@ int main(int argc, char** argv) {
   });
   bench::add_measured("counter_sample_ns", sample, "ns");
 
-  // One drift observation: ratio math + Page-Hinkley fold + two gauge
-  // stores (per monitored channel per step, not per kernel call).
-  profiling::ModelDriftMonitor drift;
-  const auto check = runner.collect([&] {
-    return per_op_ns(ops, [&](int i) {
-      drift.observe("bench", i, 1.0, 1.0 + 1e-6 * static_cast<Real>(i & 15));
-    });
-  });
-  bench::add_measured("drift_check_ns", check, "ns");
-
   Table t({"hook", "ns/op p50", "ns/op p75", "stable"});
   const auto row = [&t](const char* name,
                         const bench_harness::RunResult& run) {
@@ -103,7 +92,6 @@ int main(int argc, char** argv) {
   row("record_disabled", disabled);
   row("record_enabled", enabled);
   row("counter_sample", sample);
-  row("drift_check", check);
   bench::emit(t, "profiler_overhead");
   return 0;
 }

@@ -93,7 +93,7 @@ class PerfProfiler {
   ProfileHandle handle(const ProfileKey& key);
 
   /// Attach the machine model's prediction for one call through the slot
-  /// (what ModelDriftMonitor and the profile artifact compare against).
+  /// (what the profile artifact compares against).
   void set_prediction(const ProfileKey& key, double seconds_per_call);
 
   /// Number of recorded calls through `h` (0 for invalid handles).

@@ -1,10 +1,9 @@
 // Per-session flight recorder: a fixed-size ring of the service facts that
 // explain a session's fate — admission verdict with its arithmetic,
 // every retry/backoff, health transitions observed while the session ran,
-// replan swaps, step-time EWMA excursions, cancellation and deadline
-// checks. The ring holds the same WideEvents the event log writes (see
-// event_log.hpp); recording is O(1), and while a session is healthy the
-// recorder produces no output at all.
+// replan swaps, cancellation and deadline checks. The ring holds the same
+// WideEvents the event log writes (see event_log.hpp); recording is O(1),
+// and while a session is healthy the recorder produces no output at all.
 //
 // The payoff is the dump: on terminal failure, quarantine involvement, or
 // MPAS_FLIGHT_DUMP=all, the ring is written as one JSONL file — the black

@@ -10,9 +10,10 @@
 //   DeviceDeath            the offload link fails hard mid-run; the
 //                          accelerator is quarantined and the model
 //                          continues on the validated host-only plan.
-//   GrayFailure            the accelerator silently slows down; the
-//                          monitor's baseline catches the drift, the split
-//                          is re-derived, and probation eventually
+//   GrayFailure            the accelerator silently slows down; its step
+//                          time passes slow_factor x the baseline frozen
+//                          at the plan's first clean step, the split is
+//                          re-derived, and probation eventually
 //                          re-admits the device.
 //   TransferCorruptionBurst a burst of corrupted DMA transfers is retried
 //                          within budget; the retry spike alone must raise

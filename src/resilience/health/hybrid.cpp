@@ -17,14 +17,12 @@ SelfHealingHybrid::SelfHealingHybrid(const mesh::VoronoiMesh& mesh,
                // Capacity is not under test here; size it to fit with room.
                2 * (mesh.mesh_data_bytes() + std::size_t{64} * 1024 * 1024)),
       monitor_(opts.health),
-      drift_(opts.drift),
       engine_(core::MeshSizes{mesh.num_cells, mesh.num_edges,
                               mesh.num_vertices},
               opts.sim) {
   // Arm the lock-order detector when MPAS_LOCK_CHECK=1 (idempotent).
   analysis::LockOrderRegistry::install_from_env();
   monitor_.set_metric_scope(opts_.metric_scope);
-  drift_.set_metric_scope(opts_.metric_scope);
   if (opts_.threads > 0) {
     pool_ = std::make_unique<exec::ThreadPool>(opts_.threads);
     model_.set_pool(pool_.get());
@@ -87,9 +85,6 @@ void SelfHealingHybrid::swap_in(ReplanResult plans[3],
   // plan as a host gray failure.
   monitor_.reset_baseline("host");
   monitor_.reset_baseline("accel");
-  // The modeled per-device work also changed, so the drift channel's
-  // frozen baseline is stale; relearn under the new plan.
-  drift_.reset_all();
   model_.publish_predictions(opts_.sim);
   avail_ = avail;
   pending_valid_ = false;
@@ -182,11 +177,10 @@ void SelfHealingHybrid::step() {
     accel_s += reps[i] * current_[i].modeled.accel_busy;
   }
   monitor_.observe_step_time("host", step_, host_s);
-  Real accel_factor = 1.0;
   if (used_accel) {
-    accel_factor = accel_slowdown_hook_
-                       ? std::max<Real>(1.0, accel_slowdown_hook_())
-                       : 1.0;
+    const Real accel_factor =
+        accel_slowdown_hook_ ? std::max<Real>(1.0, accel_slowdown_hook_())
+                             : 1.0;
     monitor_.observe_step_time("accel", step_, accel_s * accel_factor);
   } else if (monitor_.state("accel") != HealthState::Quarantined) {
     // Idle (host-only plan) but not dead: it still answers heartbeats.
@@ -195,22 +189,6 @@ void SelfHealingHybrid::step() {
   const std::uint64_t retries = offload_.stats().transfer_retries;
   monitor_.observe_transfer_retries("accel", retries - seen_retries_);
   seen_retries_ = retries;
-
-  // 5b. Model drift: the accelerator's modeled seconds against what it
-  //     delivered. The channel sees the gray-failure hook, so a throttled
-  //     device reads as measured > predicted off the model's *absolute*
-  //     number — no multi-step EWMA to separate first.
-  if (drift_.policy().enabled) {
-    if (used_accel)
-      drift_.observe("accel", step_, accel_s, accel_s * accel_factor);
-    // Poll the detector and hand the evidence to the health ladder: a
-    // drifting channel contributes one bad signal per step, so a
-    // sustained drift marches the entity to Suspect (and on to
-    // Quarantined) through the same hysteresis as any other symptom —
-    // but starting earlier, at the detector's second slow step.
-    if (drift_.drifting("accel"))
-      monitor_.observe_drift("accel", step_, drift_.drift("accel"));
-  }
 
   // 6. Fold signals; 7. a generation change means the availability view
   //    shifted — build and validate the next plan for the next boundary.

@@ -27,7 +27,6 @@
 #include "exec/offload.hpp"
 #include "exec/thread_pool.hpp"
 #include "mesh/mesh.hpp"
-#include "obs/profiling/drift.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/health/monitor.hpp"
 #include "resilience/health/replan.hpp"
@@ -52,9 +51,6 @@ class SelfHealingHybrid {
     /// "service.session7."), so concurrent instances write distinguishable
     /// series. Empty keeps the historical process-global names.
     std::string metric_scope;
-    /// Online model-drift detection policy (drift.enabled=false turns the
-    /// monitor into a no-op).
-    obs::profiling::DriftPolicy drift;
   };
 
   SelfHealingHybrid(const mesh::VoronoiMesh& mesh, sw::SwParams params,
@@ -80,10 +76,6 @@ class SelfHealingHybrid {
   [[nodiscard]] sw::SwModel& model() { return model_; }
   [[nodiscard]] const sw::SwModel& model() const { return model_; }
   [[nodiscard]] HealthMonitor& monitor() { return monitor_; }
-  [[nodiscard]] obs::profiling::ModelDriftMonitor& drift() { return drift_; }
-  [[nodiscard]] const obs::profiling::ModelDriftMonitor& drift() const {
-    return drift_;
-  }
   [[nodiscard]] const ReplanEngine& engine() const { return engine_; }
   [[nodiscard]] exec::OffloadRuntime& offload() { return offload_; }
   [[nodiscard]] std::int64_t step_index() const { return step_; }
@@ -116,7 +108,6 @@ class SelfHealingHybrid {
   std::unique_ptr<exec::ThreadPool> pool_;
   exec::OffloadRuntime offload_;
   HealthMonitor monitor_;
-  obs::profiling::ModelDriftMonitor drift_;
   ReplanEngine engine_;
 
   exec::BufferId buf_mesh_ = -1;

@@ -1,7 +1,6 @@
 #include "resilience/health/monitor.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -43,8 +42,6 @@ HealthMonitor::HealthMonitor(HealthPolicy policy) : policy_(policy) {
   MPAS_CHECK_MSG(policy_.probe_backoff_start >= 1 &&
                      policy_.probe_backoff_max >= policy_.probe_backoff_start,
                  "probe backoff must satisfy 1 <= start <= max");
-  MPAS_CHECK_MSG(policy_.baseline_decay > 0 && policy_.baseline_decay <= 1,
-                 "baseline_decay must be in (0, 1]");
 }
 
 void HealthMonitor::track(const std::string& entity) {
@@ -163,14 +160,6 @@ void HealthMonitor::observe_transfer_retries(const std::string& entity,
   entity_ref(entity).step_retries += retries;
 }
 
-void HealthMonitor::observe_drift(const std::string& entity,
-                                  std::int64_t /*step*/, Real ratio) {
-  const util::LockGuard lock(mutex_);
-  Entity& e = entity_ref(entity);
-  e.drift_flagged = true;
-  e.drift_ratio = std::max(e.drift_ratio, ratio);
-}
-
 void HealthMonitor::observe_failure(const std::string& entity,
                                     std::int64_t step,
                                     const std::string& reason) {
@@ -199,14 +188,10 @@ void HealthMonitor::fold_step_signals(std::int64_t step) {
     const bool heartbeat = e.heartbeat;
     const Real seconds = e.step_seconds;
     const std::uint64_t retries = e.step_retries;
-    const bool drifted = e.drift_flagged;
-    const Real drift = e.drift_ratio;
     e.sampled = false;
     e.heartbeat = false;
     e.step_seconds = 0;
     e.step_retries = 0;
-    e.drift_flagged = false;
-    e.drift_ratio = 1.0;
 
     if (e.state == HealthState::Quarantined) continue;  // probation only
 
@@ -218,24 +203,14 @@ void HealthMonitor::fold_step_signals(std::int64_t step) {
     } else if (sampled && e.baseline_set &&
                seconds > policy_.slow_factor * e.baseline) {
       why = "slow step";
-    } else if (drifted) {
-      // Last rung of the why-ladder: the harder evidence above wins the
-      // reason string when both fire in the same step.
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "model drift (ratio %.2f)",
-                    static_cast<double>(drift));
-      why = buf;
     }
 
     if (sampled) e.last_seconds = seconds;
     if (why.empty()) {
-      // Clean step: learn the baseline (EWMA over clean samples only, so a
-      // gray failure cannot drag its own detection threshold up).
-      if (sampled) {
-        e.baseline = e.baseline_set
-                         ? (1 - policy_.baseline_decay) * e.baseline +
-                               policy_.baseline_decay * seconds
-                         : seconds;
+      // Clean step: the first clean sample since the last reset becomes
+      // the baseline, held until the next reset.
+      if (sampled && !e.baseline_set) {
+        e.baseline = seconds;
         e.baseline_set = true;
       }
       e.bad_streak = 0;

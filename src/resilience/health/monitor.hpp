@@ -27,6 +27,11 @@
 // probation: probes spaced by exponential backoff must succeed
 // recover_after times in a row.
 //
+// Slow step: a sampled step time above slow_factor x the entity's baseline.
+// The baseline is the first clean sample after track, reset_baseline or a
+// passed probation, held until the next reset — frozen per plan, so a slow
+// ramp cannot drag its own threshold up the way a moving average would.
+//
 // Every transition bumps generation() — the ReplanEngine trigger — and is
 // published as a resilience.health.* metric and a health:* trace instant.
 #pragma once
@@ -64,7 +69,6 @@ struct HealthPolicy {
   // Transfer retries per step beyond this budget count as a bad signal
   // (the offload link limping along is a gray failure too).
   std::uint64_t transfer_retry_budget = 2;
-  Real baseline_decay = 0.2;  // EWMA weight of the newest clean step time
 };
 
 /// One state change, for tests and post-mortem reports.
@@ -111,17 +115,6 @@ class HealthMonitor {
   /// total; the caller diffs OffloadRuntime / ResilienceStats counters).
   void observe_transfer_retries(const std::string& entity,
                                 std::uint64_t retries);
-  /// Model-drift evidence from the continuous profiler: the entity's
-  /// measured kernel cost diverged from the machine model's prediction by
-  /// `ratio` (>= 1) while the drift monitor's changepoint detector is in
-  /// alarm. Counts as a bad signal in end_step even when the entity's own
-  /// step-time baseline still looks clean — drift is the earliest gray-
-  /// failure symptom (the baseline EWMA needs several slow steps to
-  /// separate, the drift detector fires off the model's absolute
-  /// prediction), so it moves an entity to Suspect *before* the timing
-  /// ladder would.
-  void observe_drift(const std::string& entity, std::int64_t step,
-                     Real ratio);
   /// Hard fault (transfer escalation, lost rank): quarantine immediately,
   /// skipping the Suspect hysteresis — there is nothing gradual about it.
   void observe_failure(const std::string& entity, std::int64_t step,
@@ -139,10 +132,11 @@ class HealthMonitor {
   /// consecutive successes promote the entity to Recovered.
   void observe_probe(const std::string& entity, std::int64_t step, bool ok);
 
-  /// Invalidate the learned step-time baseline (state and streaks stay).
-  /// Drivers call this when they swap schedules: the entity's expected
-  /// per-step work changed, so comparing against the old baseline would
-  /// misread the new plan as a gray failure.
+  /// Invalidate the step-time baseline (state and streaks stay); the next
+  /// clean sample becomes the new one. Drivers call this when they swap
+  /// schedules: the entity's expected per-step work changed, so comparing
+  /// against the old baseline would misread the new plan as a gray
+  /// failure.
   void reset_baseline(const std::string& entity);
 
   // ---- queries ----
@@ -168,7 +162,7 @@ class HealthMonitor {
   struct Entity {
     HealthState state = HealthState::Healthy;
     bool baseline_set = false;
-    Real baseline = 0;        // EWMA of clean step seconds
+    Real baseline = 0;        // first clean step seconds since the reset
     Real last_seconds = 0;
     int bad_streak = 0;
     int clean_streak = 0;
@@ -177,8 +171,6 @@ class HealthMonitor {
     bool heartbeat = false;
     Real step_seconds = 0;
     std::uint64_t step_retries = 0;
-    bool drift_flagged = false;
-    Real drift_ratio = 1.0;
     // Probation bookkeeping.
     int probe_backoff = 0;
     std::int64_t next_probe_step = 0;

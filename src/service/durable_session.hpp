@@ -26,15 +26,20 @@
 #include "resilience/durable/writer.hpp"
 #include "resilience/fault.hpp"
 #include "sw/fields.hpp"
+#include "util/env.hpp"
 
 namespace mpas::service {
 
 class SessionJournal;
 
+/// Defaults are the env table's (util/env.hpp): DurabilityPolicy{} and
+/// from_env() with the variables unset agree by construction.
 struct DurabilityPolicy {
   std::string dir;  // MPAS_CHECKPOINT_DIR; empty = durability off
-  int every = 10;   // MPAS_CHECKPOINT_EVERY: checkpoint cadence in steps
-  int keep = 3;     // MPAS_CHECKPOINT_KEEP: generations per session
+  // MPAS_CHECKPOINT_EVERY: checkpoint cadence in steps
+  int every = static_cast<int>(env::default_integer("MPAS_CHECKPOINT_EVERY"));
+  // MPAS_CHECKPOINT_KEEP: generations per session
+  int keep = static_cast<int>(env::default_integer("MPAS_CHECKPOINT_KEEP"));
 
   static DurabilityPolicy from_env();
 

@@ -10,29 +10,6 @@
 
 namespace mpas::service {
 
-namespace {
-
-/// Count existing epoch lines so this process can claim the next epoch.
-/// Torn lines are skipped here exactly as in replay_journal.
-int count_epochs(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) return 0;
-  int epochs = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    try {
-      const auto v = obs::json::parse(line);
-      if (v.at("kind").as_string() == "epoch") epochs += 1;
-    } catch (const std::exception&) {
-      // torn tail — not an epoch line
-    }
-  }
-  return epochs;
-}
-
-}  // namespace
-
 std::string hash_hex(std::uint64_t hash) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -48,8 +25,7 @@ std::uint64_t parse_hash_hex(const std::string& hex) {
   return std::stoull(hex, nullptr, 16);
 }
 
-void SessionJournal::open(const std::string& path) {
-  const int epoch = count_epochs(path) + 1;
+void SessionJournal::open(const std::string& path, int epoch) {
   log_.open(path, obs::telemetry::EventLog::Mode::Append);
   epoch_.store(enabled() ? epoch : 0, std::memory_order_relaxed);
   if (enabled())

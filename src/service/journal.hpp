@@ -46,9 +46,9 @@ class SessionJournal {
   SessionJournal(const SessionJournal&) = delete;
   SessionJournal& operator=(const SessionJournal&) = delete;
 
-  /// Open `path` for append and record this process's "epoch" fact. The
-  /// epoch number is 1 + the count of epoch lines already present.
-  void open(const std::string& path);
+  /// Open `path` for append as epoch `epoch` and record its "epoch" fact.
+  /// The caller has replayed the file: the epoch is replay.epochs + 1.
+  void open(const std::string& path, int epoch);
   void close();
 
   [[nodiscard]] bool enabled() const { return log_.enabled(); }

@@ -16,10 +16,10 @@ RecoveryManager::RecoveryManager(DurabilityPolicy policy,
                                  SessionJournal* journal)
     : policy_(std::move(policy)), journal_(journal) {}
 
-std::vector<RecoveryOutcome> RecoveryManager::recover(SessionManager& manager) {
+std::vector<RecoveryOutcome> RecoveryManager::recover(
+    SessionManager& manager, const JournalReplay& replay) {
   std::vector<RecoveryOutcome> outcomes;
   if (!policy_.enabled()) return outcomes;
-  const JournalReplay replay = replay_journal(policy_.journal_path());
   const auto incomplete = replay.incomplete();
   if (incomplete.empty()) return outcomes;
   MPAS_LOG_INFO << "recovery: " << incomplete.size()

@@ -1,15 +1,16 @@
 // Whole-service crash recovery.
 //
-// At SessionManager startup the RecoveryManager replays the session
-// journal: every session a dead epoch admitted but neither finished nor
-// re-admitted is recovery work. For each one it loads the newest intact
-// checkpoint generation from the chain's directory (falling back across
-// damaged generations; no generation at all = resume from step 0) and
-// re-submits the *effective* request through the normal admission ladder —
-// recovery enjoys no special capacity, only allow_degraded is forced off,
-// because a resumed trajectory is only bitwise-continuable at the fidelity
-// it was checkpointed at. A refused re-admission stays incomplete in the
-// journal and is retried at the next restart.
+// At SessionManager startup the boot replays the session journal once and
+// hands the fold to the RecoveryManager: every session a dead epoch
+// admitted but neither finished nor re-admitted is recovery work. For each
+// one it loads the newest intact checkpoint generation from the chain's
+// directory (falling back across damaged generations; no generation at
+// all = resume from step 0) and re-submits the *effective* request through
+// the normal admission ladder — recovery enjoys no special capacity, only
+// allow_degraded is forced off, because a resumed trajectory is only
+// bitwise-continuable at the fidelity it was checkpointed at. A refused
+// re-admission stays incomplete in the journal and is retried at the next
+// restart.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +23,7 @@ namespace mpas::service {
 
 class SessionManager;
 class SessionJournal;
+struct JournalReplay;
 
 /// What run_session needs to continue a dead session: the restored image
 /// (empty/step -1 when no checkpoint survived — start over), the hash the
@@ -49,10 +51,11 @@ class RecoveryManager {
  public:
   RecoveryManager(DurabilityPolicy policy, SessionJournal* journal);
 
-  /// Replay the journal and re-admit every incomplete session through
-  /// `manager`. Called by the SessionManager constructor; exposed for
-  /// tests that drive recovery against a hand-built journal.
-  std::vector<RecoveryOutcome> recover(SessionManager& manager);
+  /// Re-admit every incomplete session of `replay` (the boot's one fold
+  /// of the journal, ending at this process's epoch line) through
+  /// `manager`. Called by the SessionManager constructor.
+  std::vector<RecoveryOutcome> recover(SessionManager& manager,
+                                       const JournalReplay& replay);
 
  private:
   DurabilityPolicy policy_;

@@ -123,11 +123,6 @@ struct SessionResult {
   /// Modeled seconds of each completed step (the soak's EWMA-band check
   /// that co-resident sessions were undisturbed by a neighbor's fault).
   std::vector<Real> step_modeled_seconds;
-  /// Worst measured-vs-modeled drift ratio the session's ModelDriftMonitor
-  /// saw on any channel (>= 1; 1 = perfectly on model), and how many drift
-  /// alarms it raised. Alarms on a clean run are a model-fidelity bug.
-  Real worst_drift_ratio = 1.0;
-  std::uint64_t drift_alarms = 0;
   /// Crash-recovery provenance: this session was re-admitted by the
   /// RecoveryManager and resumed from a durable checkpoint.
   bool recovered = false;

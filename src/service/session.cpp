@@ -115,19 +115,6 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
                         .add("step", t.step),
                     flight);
       });
-  // Same treatment for model-drift alarms: the earliest gray-failure
-  // breadcrumb a postmortem has (the listener runs after the drift monitor
-  // released its mutex — same re-entrancy contract as above).
-  sut.drift().add_alarm_listener(
-      [flight, fact](const obs::profiling::DriftAlarm& a) {
-        record_fact(fact("drift")
-                        .add("channel", a.channel)
-                        .add("ratio", a.ratio)
-                        .add("baseline", a.baseline)
-                        .add("score", a.score)
-                        .add("step", a.step),
-                    flight);
-      });
   sw::apply_initial_conditions(*tc, *ctx.mesh, sut.model().fields());
   int start_step = 0;
   if (ctx.resume != nullptr) {
@@ -182,14 +169,6 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
   result.outputs_written = 0;
   result.step_modeled_seconds.clear();
 
-  // Step-time EWMA for excursion records: seeded after a short warmup so
-  // the first steps (cold caches, initial replans) don't pollute the band.
-  constexpr int kEwmaWarmupSteps = 3;
-  constexpr Real kEwmaAlpha = 0.3;
-  constexpr Real kExcursionLow = 0.8;
-  constexpr Real kExcursionHigh = 1.2;
-  Real ewma = 0;
-  int ewma_samples = 0;
   int last_replans = sut.replans();
 
   for (int s = start_step; s < req.steps; ++s) {
@@ -219,8 +198,6 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
       result.reason_code = ReasonCode::DeadlineExceeded;
       result.modeled_seconds = spent;
       result.replans = sut.replans();
-      result.worst_drift_ratio = sut.drift().worst_ratio();
-      result.drift_alarms = sut.drift().alarms();
       record_fact(fact("deadline_check")
                       .add("step", s)
                       .add("needed_modeled_s",
@@ -259,26 +236,7 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
       record_fact(fact("replan").add("step", s).add("replans", replans),
                   flight);
       last_replans = replans;
-      // The plan changed: the old EWMA band describes the old schedule.
-      ewma = 0;
-      ewma_samples = 0;
     }
-
-    // EWMA excursion: a step that left the learned band is exactly the
-    // breadcrumb a postmortem needs, even when the run still completed.
-    if (ewma_samples >= kEwmaWarmupSteps) {
-      const Real ratio = step_seconds / ewma;
-      if (ratio < kExcursionLow || ratio > kExcursionHigh)
-        record_fact(fact("step_excursion")
-                        .add("step", s)
-                        .add("step_modeled_s", step_seconds)
-                        .add("ewma_modeled_s", ewma),
-                    flight);
-    }
-    ewma = ewma_samples == 0 ? step_seconds
-                             : (1 - kEwmaAlpha) * ewma +
-                                   kEwmaAlpha * step_seconds;
-    ewma_samples += 1;
 
     if (req.output_every > 0 && (s + 1) % req.output_every == 0) {
       result.outputs_written += 1;
@@ -297,8 +255,6 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
   result.reason_code = ReasonCode::Completed;
   result.modeled_seconds = spent;
   result.replans = sut.replans();
-  result.worst_drift_ratio = sut.drift().worst_ratio();
-  result.drift_alarms = sut.drift().alarms();
   result.state_hash = state_hash(sut.model().fields());
 
   if (result.recovered) {

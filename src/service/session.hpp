@@ -43,8 +43,8 @@ struct SessionRunContext {
   Real modeled_seconds_spent = 0;
   core::SimOptions sim{machine::paper_platform()};
   /// Per-session black box, owned by the manager (null = not recording).
-  /// The run records health transitions, replans, EWMA excursions, and
-  /// deadline/cancel decisions into it.
+  /// The run records health transitions, replans, and deadline/cancel
+  /// decisions into it.
   obs::telemetry::FlightRecorder* flight = nullptr;
   /// Crash-recovery restore point (null = fresh session). When set with a
   /// non-negative step, the state fields are restored before

@@ -38,13 +38,17 @@ SessionManager::SessionManager(ServiceOptions opts)
   MPAS_CHECK_MSG(opts_.workers >= 1, "service needs at least one worker");
   MPAS_CHECK_MSG(opts_.max_attempts >= 1, "need at least one attempt");
   if (opts_.durable.enabled()) {
-    // Durability boot: open (append) the session journal — claiming this
-    // process's epoch — then replay it and re-admit whatever the previous
-    // epoch left unfinished, all before any new work can race the ids.
+    // Durability boot: fold the journal once, open it for append as the
+    // next epoch, then re-admit whatever a dead epoch left unfinished —
+    // all before any new work can race the ids.
     std::filesystem::create_directories(opts_.durable.dir);
-    journal_.open(opts_.durable.journal_path());
+    JournalReplay replay = replay_journal(opts_.durable.journal_path());
+    journal_.open(opts_.durable.journal_path(), replay.epochs + 1);
+    // The fold now ends at the epoch line open appended, as a read after
+    // open would: every session in it belongs to a dead epoch.
+    if (journal_.enabled()) replay.epochs = journal_.epoch();
     RecoveryManager recovery(opts_.durable, &journal_);
-    recoveries_ = recovery.recover(*this);
+    recoveries_ = recovery.recover(*this, replay);
   }
   workers_.reserve(static_cast<std::size_t>(opts_.workers));
   for (int i = 0; i < opts_.workers; ++i)
@@ -433,14 +437,6 @@ void SessionManager::finish_locked(Record& rec, SessionState state,
                       state != SessionState::TimedOut, rec.result.id);
     record_slo_locked(rec.result.tenant, telemetry::SloDimension::ErrorRate,
                       state != SessionState::Failed, rec.result.id);
-    // Per-tenant model-fidelity gauge: the worst measured-vs-modeled drift
-    // any of this tenant's sessions has reported (monotone max, so a
-    // single drifting session stays visible after later clean ones).
-    auto& worst = worst_drift_by_tenant_[rec.result.tenant];
-    worst = std::max(worst, rec.result.worst_drift_ratio);
-    obs::MetricsRegistry::global()
-        .gauge("service.tenant." + rec.result.tenant + ".worst_drift_ratio")
-        .set(static_cast<double>(worst));
   }
 
   // The terminal fact doubles as the durability WAL's terminal record: it

@@ -228,8 +228,6 @@ class SessionManager {
   ServiceStats stats_ MPAS_GUARDED_BY(mutex_);
   Real outstanding_total_ MPAS_GUARDED_BY(mutex_) = 0;
   std::map<std::string, Real> outstanding_by_tenant_ MPAS_GUARDED_BY(mutex_);
-  /// Worst drift ratio any finished session reported, per tenant.
-  std::map<std::string, Real> worst_drift_by_tenant_ MPAS_GUARDED_BY(mutex_);
   std::uint64_t next_id_ MPAS_GUARDED_BY(mutex_) = 1;
   std::uint64_t active_ MPAS_GUARDED_BY(mutex_) = 0;  // inside run_one
   bool paused_ MPAS_GUARDED_BY(mutex_) = false;

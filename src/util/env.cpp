@@ -43,9 +43,13 @@ bool flag(const char* name) {
   return fallback;
 }
 
+long default_integer(const char* name) {
+  return std::strtol(declared(name, Kind::Integer).default_value, nullptr, 10);
+}
+
 long integer(const char* name) {
   const Variable& var = declared(name, Kind::Integer);
-  const long fallback = std::strtol(var.default_value, nullptr, 10);
+  const long fallback = default_integer(name);
   const char* value = raw(var);
   if (value == nullptr) return fallback;
   char* end = nullptr;

@@ -72,6 +72,11 @@ bool flag(const char* name);
 /// its range.
 long integer(const char* name);
 
+/// An Integer variable's declared default: what integer() returns while
+/// the variable is unset. A struct field that mirrors a variable takes its
+/// initializer from here, so the table stays its one source.
+long default_integer(const char* name);
+
 /// A Text variable's value; when unset or empty, its default, or nullopt
 /// if the default is "".
 std::optional<std::string> text(const char* name);

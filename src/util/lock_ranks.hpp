@@ -47,11 +47,8 @@ inline constexpr int kThreadPoolError = 52;   // exec.thread_pool.error
 inline constexpr int kMeshCache = 56;         // mesh.cache
 
 // ---- observability aggregators ----
-// Locked *before* the 60+ sinks: both publish metrics / trace events while
-// their own mutex is held, and the drift monitor is additionally queried
-// by health-layer callers (rank 30) only via its lock-free or post-unlock
-// paths (alarm listeners run after the monitor released its mutex).
-inline constexpr int kDriftMonitor = 58;      // obs.profile.drift
+// Locked *before* the 60+ sinks: the profiler publishes metrics / trace
+// events while its own mutex is held.
 inline constexpr int kPerfProfiler = 59;      // obs.profiler
 
 // ---- observability sinks (innermost but for logging) ----

@@ -515,6 +515,12 @@ using obs::telemetry::WideEvent;
 using resilience::durable::CheckpointImage;
 using TempDir = resilience::durable::TempDir;
 
+/// Open the journal as a booting service does: as the epoch after the ones
+/// the file already holds.
+void open_next_epoch(SessionJournal& journal, const std::string& path) {
+  journal.open(path, replay_journal(path).epochs + 1);
+}
+
 TEST(SessionJournal, HashHexRoundTripsExtremes) {
   for (const std::uint64_t h :
        {std::uint64_t{0}, std::uint64_t{1}, ~std::uint64_t{0},
@@ -530,7 +536,7 @@ TEST(SessionJournal, AppendReplayRoundTripsAndFoldsEpochs) {
   const std::string path = (fs::path(dir.path()) / "journal.jsonl").string();
 
   SessionJournal journal;
-  journal.open(path);
+  open_next_epoch(journal, path);
   EXPECT_TRUE(journal.enabled());
   EXPECT_EQ(journal.epoch(), 1);
   journal.append(WideEvent("admit", "gold", 1)
@@ -549,7 +555,7 @@ TEST(SessionJournal, AppendReplayRoundTripsAndFoldsEpochs) {
   journal.close();
 
   // Reopen: the journal spans restarts, so epoch 2 extends the same file.
-  journal.open(path);
+  open_next_epoch(journal, path);
   EXPECT_EQ(journal.epoch(), 2);
   journal.close();
 
@@ -584,7 +590,7 @@ TEST(SessionJournal, TornFinalLineIsSkippedNeverFatal) {
   TempDir dir("torn");
   const std::string path = (fs::path(dir.path()) / "journal.jsonl").string();
   SessionJournal journal;
-  journal.open(path);
+  open_next_epoch(journal, path);
   journal.append(WideEvent("admit", "a", 1).add("steps", 4));
   journal.close();
   {
@@ -705,6 +711,20 @@ TEST(DurabilityPolicy, EnvRoundTripAndLayout) {
   EXPECT_FALSE(off.enabled());
 }
 
+// The defaults have one source, the env table: with the three variables
+// unset, a default-constructed policy and from_env() agree field by field.
+TEST(DurabilityPolicy, DefaultsAgreeWithFromEnvWhenUnset) {
+  ::unsetenv("MPAS_CHECKPOINT_DIR");
+  ::unsetenv("MPAS_CHECKPOINT_EVERY");
+  ::unsetenv("MPAS_CHECKPOINT_KEEP");
+  const DurabilityPolicy defaults;
+  const DurabilityPolicy from_env = DurabilityPolicy::from_env();
+  EXPECT_EQ(defaults.dir, from_env.dir);
+  EXPECT_EQ(defaults.every, from_env.every);
+  EXPECT_EQ(defaults.keep, from_env.keep);
+  EXPECT_FALSE(defaults.enabled());
+}
+
 // --------------------------------------------------- whole-service recovery
 
 /// Shared scaffolding: fabricate the debris of a crashed epoch-1 process —
@@ -748,7 +768,7 @@ class ServiceRecovery : public ::testing::Test {
   void write_dead_epoch(const DurabilityPolicy& p) const {
     fs::create_directories(p.dir);
     SessionJournal journal;
-    journal.open(p.journal_path());
+    open_next_epoch(journal, p.journal_path());
     const SessionRequest req = request();
     journal.append(WideEvent("admit", req.tenant, 1)
                        .add("mesh_level", req.mesh_level)

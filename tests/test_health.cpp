@@ -251,6 +251,23 @@ TEST(HealthMonitor, ResetBaselineForgetsLearnedStepTime) {
   EXPECT_NEAR(m.slowdown("host"), 1.0, 1e-9);
 }
 
+// The baseline is the first clean step, held: a moving average would
+// follow a 3%-a-step ramp up and never call a step slow. Held, step 17 is
+// the first over slow_factor (1.51x) and step 18 the second: Suspect.
+TEST(HealthMonitor, SlowRampIsSuspectedAgainstTheFirstCleanStep) {
+  HealthMonitor m;
+  m.track("accel");
+  for (std::int64_t s = 0; s < 30; ++s) {
+    m.observe_step_time("accel", s, 1e-3 * (1 + 0.03 * static_cast<Real>(s)));
+    m.end_step(s);
+  }
+  const auto transitions = m.transitions();
+  ASSERT_FALSE(transitions.empty());
+  EXPECT_EQ(transitions.front().to, HealthState::Suspect);
+  EXPECT_EQ(transitions.front().step, 18);
+  EXPECT_EQ(transitions.front().reason, "slow step");
+}
+
 // The session service drives one monitor from concurrent workers. Hammer
 // 32 entities from multiple threads (each thread owns its entities — the
 // per-entity determinism contract) and assert no transition was lost and
@@ -641,6 +658,79 @@ TEST(SelfHealingHybrid, TransientDeathRecoversThroughProbation) {
   ASSERT_EQ(h.size(), h_ref.size());
   for (std::size_t i = 0; i < h.size(); ++i) EXPECT_EQ(h[i], h_ref[i]) << i;
   for (std::size_t i = 0; i < u.size(); ++i) EXPECT_EQ(u[i], u_ref[i]) << i;
+}
+
+/// The first transition into `to`, or nullptr.
+const Transition* first_transition(const std::vector<Transition>& log,
+                                   HealthState to) {
+  const auto it = std::find_if(
+      log.begin(), log.end(), [to](const Transition& t) { return t.to == to; });
+  return it == log.end() ? nullptr : &*it;
+}
+
+// A gray failure: the modeled accelerator quietly runs 2.2x slow from step
+// 10, with no hard fault. Its second slow step makes it Suspect, the next
+// plan de-rates it, and it is never quarantined first.
+TEST(SelfHealingHybrid, GraySlowdownIsSuspectedOnItsSecondSlowStep) {
+  HybridRun run;
+  SelfHealingHybrid sut(*run.mesh, run.params, {});
+  sw::apply_initial_conditions(*run.tc, *run.mesh, sut.model().fields());
+  sut.initialize();
+  constexpr std::int64_t kOnset = 10;
+  sut.set_accel_slowdown_hook(
+      [&sut] { return sut.step_index() >= kOnset ? Real(2.2) : Real(1); });
+
+  // Through step kOnset + 2, the boundary that swaps in the next plan.
+  sut.run(kOnset + 3);
+  const auto log = sut.monitor().transitions();
+  const Transition* suspect = first_transition(log, HealthState::Suspect);
+  ASSERT_NE(suspect, nullptr);
+  EXPECT_EQ(suspect->entity, "accel");
+  EXPECT_EQ(suspect->step, kOnset + 1);
+  EXPECT_EQ(suspect->reason, "slow step");
+  EXPECT_EQ(sut.replans(), 1);
+  EXPECT_TRUE(sut.availability().accel_alive);
+  EXPECT_GT(sut.availability().accel_slowdown, 1.5);
+
+  sut.run(20 - (kOnset + 3));
+  const Transition* quarantine =
+      first_transition(sut.monitor().transitions(), HealthState::Quarantined);
+  EXPECT_TRUE(quarantine == nullptr || suspect->step < quarantine->step);
+}
+
+// A slow ramp: from step 3 the accelerator's factor is 1 + 0.03 (s - 2).
+// Against the baseline of the plan's first clean step, step 19 (1.51x) is
+// the first slow step and step 20 the second: Suspect.
+TEST(SelfHealingHybrid, SlowRampIsSuspectedOnceItPassesTheSlowFactor) {
+  HybridRun run;
+  SelfHealingHybrid sut(*run.mesh, run.params, {});
+  sw::apply_initial_conditions(*run.tc, *run.mesh, sut.model().fields());
+  sut.initialize();
+  sut.set_accel_slowdown_hook([&sut] {
+    const std::int64_t s = sut.step_index();
+    return s >= 3 ? 1 + Real(0.03) * static_cast<Real>(s - 2) : Real(1);
+  });
+  sut.run(30);
+  const auto log = sut.monitor().transitions();
+  const Transition* suspect = first_transition(log, HealthState::Suspect);
+  ASSERT_NE(suspect, nullptr);
+  EXPECT_EQ(suspect->entity, "accel");
+  EXPECT_EQ(suspect->step, 20);
+  EXPECT_EQ(suspect->reason, "slow step");
+}
+
+// The dual: a clean 200-step soak raises no suspicion at all — no Suspect,
+// no Quarantined (the false-positive budget is zero).
+TEST(SelfHealingHybrid, CleanSoakRaisesNoDriftAlarms) {
+  HybridRun run;
+  SelfHealingHybrid sut(*run.mesh, run.params, {});
+  sw::apply_initial_conditions(*run.tc, *run.mesh, sut.model().fields());
+  sut.initialize();
+  sut.run(200);
+  for (const auto& t : sut.monitor().transitions()) {
+    EXPECT_NE(t.to, HealthState::Suspect) << t.reason;
+    EXPECT_NE(t.to, HealthState::Quarantined) << t.reason;
+  }
 }
 
 // ---------------------------------------------------------- chaos campaigns

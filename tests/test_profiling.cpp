@@ -1,18 +1,14 @@
 // The continuous profiler's contract, bottom-up: hardware-counter groups
 // degrade cleanly when perf_event is unavailable, PerfProfiler's record
 // path aggregates exactly and stays inside the <2% steady-state overhead
-// budget against a real profiled step, the Page-Hinkley drift detector
-// alarms on a sustained 2x slowdown but never on a single spike,
-// ProfileStore JSON round-trips byte-exactly (its env block included),
-// calibrate() closes the loop into machine::Calibration, the
-// share-normalized overlay ignores unpredicted nested slots, SwModel's
-// published predictions cover every node of the model as configured,
-// and — the headline — a seeded gray-failure slowdown trips the drift
-// monitor strictly before the health monitor quarantines, while a clean
-// 200-step soak raises no drift alarm at all.
+// budget against a real profiled step, ProfileStore JSON round-trips
+// byte-exactly (its env block included), calibrate() closes the loop into
+// machine::Calibration, the share-normalized overlay ignores unpredicted
+// nested slots, SwModel's published predictions cover every node of the
+// model as configured, and a profiled hybrid run fills per-node slots on
+// both devices.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -21,14 +17,12 @@
 #include "bench_harness/env_fingerprint.hpp"
 #include "machine/calibration.hpp"
 #include "mesh/mesh_cache.hpp"
-#include "obs/profiling/drift.hpp"
 #include "obs/profiling/hw_counters.hpp"
 #include "obs/profiling/perf_profiler.hpp"
 #include "obs/profiling/profile_store.hpp"
 #include "obs/profiling/profile_trace.hpp"
 #include "obs/trace.hpp"
 #include "resilience/health/hybrid.hpp"
-#include "resilience/health/monitor.hpp"
 #include "sw/model.hpp"
 #include "sw/testcases.hpp"
 #include "util/timer.hpp"
@@ -36,8 +30,6 @@
 namespace mpas::obs::profiling {
 namespace {
 
-using resilience::health::HealthMonitor;
-using resilience::health::HealthState;
 using resilience::health::SelfHealingHybrid;
 
 // ------------------------------------------------------------ HwCounters
@@ -162,14 +154,6 @@ TEST(PerfProfilerOverhead, SteadyStateStaysUnderTwoPercentOfAStep) {
   }
   const double per_scope = scope_timer.seconds() / kProbes;
 
-  // One drift observation per monitored channel per step (3 channels in
-  // the hybrid; budget 16x for head-room).
-  ModelDriftMonitor drift;
-  WallTimer drift_timer;
-  for (int i = 0; i < kProbes; ++i)
-    drift.observe("budget", i, 1.0, 1.0);
-  const double per_observe = drift_timer.seconds() / kProbes;
-
   // A real profiled run on the level-4 mesh (the smallest hybrid-split
   // mesh): count how many scopes one step records and what it costs.
   PerfProfiler& global = PerfProfiler::global();
@@ -198,108 +182,10 @@ TEST(PerfProfilerOverhead, SteadyStateStaysUnderTwoPercentOfAStep) {
   const double scopes_per_step =
       static_cast<double>(total_calls) / static_cast<double>(kSteps);
 
-  const double overhead = scopes_per_step * per_scope + 16.0 * per_observe;
+  const double overhead = scopes_per_step * per_scope;
   EXPECT_LT(overhead, 0.02 * per_step)
       << "per_scope=" << per_scope << "s x " << scopes_per_step
-      << " scopes/step, per_observe=" << per_observe << "s per_step="
-      << per_step << "s";
-}
-
-// ----------------------------------------------------------- DriftPolicy
-
-TEST(DriftPolicy, DefaultsAndOffSwitch) {
-  const DriftPolicy d;
-  EXPECT_TRUE(d.enabled);
-  EXPECT_EQ(d.warmup, 8);
-  EXPECT_EQ(d.confirm, 2);
-  EXPECT_NEAR(d.ratio_threshold, 1.5, 1e-12);
-}
-
-// ----------------------------------------------------- ModelDriftMonitor
-
-/// Feed `n` on-model observations to learn the frozen baseline.
-void warm_up(ModelDriftMonitor& m, const std::string& ch, int n,
-             std::int64_t& step) {
-  for (int i = 0; i < n; ++i, ++step) m.observe(ch, step, 1e-3, 1e-3);
-}
-
-TEST(ModelDriftMonitor, SustainedSlowdownAlarmsOnSecondObservation) {
-  ModelDriftMonitor m;
-  std::vector<DriftAlarm> seen;
-  m.add_alarm_listener([&seen](const DriftAlarm& a) { seen.push_back(a); });
-  std::int64_t step = 0;
-  warm_up(m, "accel", m.policy().warmup, step);
-  EXPECT_FALSE(m.drifting("accel"));
-  EXPECT_NEAR(m.drift("accel"), 1.0, 1e-9);
-
-  // First slow observation: over the threshold but confirm=2 holds fire.
-  m.observe("accel", step++, 1e-3, 2e-3);
-  EXPECT_EQ(m.alarms(), 0u);
-  EXPECT_FALSE(m.drifting("accel"));
-  // Second sustained 2x observation: alarm.
-  m.observe("accel", step++, 1e-3, 2e-3);
-  EXPECT_EQ(m.alarms(), 1u);
-  EXPECT_TRUE(m.drifting("accel"));
-  EXPECT_GT(m.drift("accel"), 1.5);
-  EXPECT_GE(m.worst_ratio(), 2.0 - 1e-6);
-
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].channel, "accel");
-  EXPECT_NEAR(seen[0].baseline, 1.0, 1e-9);
-  EXPECT_NEAR(seen[0].ratio, 2.0, 1e-9);
-  ASSERT_EQ(m.alarm_log().size(), 1u);
-  EXPECT_EQ(m.alarm_log()[0].channel, "accel");
-}
-
-TEST(ModelDriftMonitor, SingleSpikeNeverAlarms) {
-  ModelDriftMonitor m;
-  std::int64_t step = 0;
-  warm_up(m, "host", m.policy().warmup, step);
-  m.observe("host", step++, 1e-3, 5e-3);  // one 5x outlier
-  for (int i = 0; i < 20; ++i) m.observe("host", step++, 1e-3, 1e-3);
-  EXPECT_EQ(m.alarms(), 0u);
-  EXPECT_FALSE(m.drifting("host"));
-}
-
-TEST(ModelDriftMonitor, RecoveryClearsDriftingAndReArms) {
-  ModelDriftMonitor m;
-  std::int64_t step = 0;
-  warm_up(m, "accel", m.policy().warmup, step);
-  for (int i = 0; i < 3; ++i) m.observe("accel", step++, 1e-3, 2e-3);
-  EXPECT_TRUE(m.drifting("accel"));
-  EXPECT_EQ(m.alarms(), 1u);
-  // Back on model: the alarm clears...
-  for (int i = 0; i < 6; ++i) m.observe("accel", step++, 1e-3, 1e-3);
-  EXPECT_FALSE(m.drifting("accel"));
-  // ...and a second sustained shift re-alarms.
-  for (int i = 0; i < 3; ++i) m.observe("accel", step++, 1e-3, 2.5e-3);
-  EXPECT_TRUE(m.drifting("accel"));
-  EXPECT_EQ(m.alarms(), 2u);
-}
-
-TEST(ModelDriftMonitor, DisabledPolicyIsANoOp) {
-  DriftPolicy off;
-  off.enabled = false;
-  ModelDriftMonitor m(off);
-  for (std::int64_t s = 0; s < 40; ++s) m.observe("accel", s, 1e-3, 9e-3);
-  EXPECT_EQ(m.alarms(), 0u);
-  EXPECT_FALSE(m.drifting("accel"));
-  EXPECT_NEAR(m.ratio("accel"), 1.0, 1e-12);
-}
-
-TEST(ModelDriftMonitor, ResetForgetsBaselineButKeepsAlarmCount) {
-  ModelDriftMonitor m;
-  std::int64_t step = 0;
-  warm_up(m, "accel", m.policy().warmup, step);
-  for (int i = 0; i < 3; ++i) m.observe("accel", step++, 1e-3, 2e-3);
-  EXPECT_EQ(m.alarms(), 1u);
-  m.reset_all();  // plan swap: predicted work changed shape
-  EXPECT_FALSE(m.drifting("accel"));
-  // The new plan runs 2x "slower" in absolute terms — but that becomes the
-  // *new* baseline, so no false alarm after the reset.
-  for (int i = 0; i < m.policy().warmup + 6; ++i)
-    m.observe("accel", step++, 1e-3, 2e-3);
-  EXPECT_EQ(m.alarms(), 1u);
+      << " scopes/step, per_step=" << per_step << "s";
 }
 
 // ----------------------------------------------------------- ProfileStore
@@ -463,38 +349,6 @@ TEST(ProfileTrace, OverlayRecordsBothLanesAndDriftCounter) {
   EXPECT_EQ(counters, 2);  // drift ratio per predicted entry
 }
 
-// ------------------------------------------- drift as gray-failure signal
-
-TEST(HealthMonitorDrift, DriftEvidenceWalksTheSuspectLadder) {
-  HealthMonitor m;
-  m.track("accel");
-  // Clean timing baseline: the step-time ladder sees nothing wrong.
-  for (std::int64_t s = 0; s < 2; ++s) {
-    m.observe_step_time("accel", s, 1e-3);
-    m.end_step(s);
-  }
-  // Drift evidence alone (clean step times throughout) must walk the
-  // entity to Suspect and then Quarantined with the drift reason.
-  std::int64_t s = 2;
-  m.observe_step_time("accel", s, 1e-3);
-  m.observe_drift("accel", s, 2.4);
-  m.end_step(s++);
-  EXPECT_EQ(m.state("accel"), HealthState::Healthy);  // hysteresis holds
-  m.observe_step_time("accel", s, 1e-3);
-  m.observe_drift("accel", s, 2.4);
-  m.end_step(s++);
-  EXPECT_EQ(m.state("accel"), HealthState::Suspect);
-  ASSERT_FALSE(m.transitions().empty());
-  EXPECT_NE(m.transitions().back().reason.find("model drift"),
-            std::string::npos);
-  for (int i = 0; i < 2; ++i) {
-    m.observe_step_time("accel", s, 1e-3);
-    m.observe_drift("accel", s, 2.4);
-    m.end_step(s++);
-  }
-  EXPECT_EQ(m.state("accel"), HealthState::Quarantined);
-}
-
 // ------------------------------------------------------------ SwModel
 
 // publish_predictions covers the model as configured: with diffusion and
@@ -544,75 +398,13 @@ TEST(SwModelPredictions, EveryProfiledNodeOfTheConfiguredModelIsPredicted) {
 
 struct HybridRun {
   // Level 4 is the smallest mesh whose pattern-level split uses the
-  // accelerator; smaller meshes stay host-only and leave nothing to drift.
+  // accelerator; smaller meshes stay host-only and record no accel slots.
   std::shared_ptr<const mesh::VoronoiMesh> mesh = mesh::get_global_mesh(4);
   std::shared_ptr<const sw::TestCase> tc = sw::make_test_case(2);
   sw::SwParams params;
 
   HybridRun() { params.dt = sw::suggested_time_step(*tc, *mesh, 0.4); }
 };
-
-// The headline ISSUE acceptance: a seeded gray-failure slowdown (the
-// modeled accelerator quietly running 2.2x slow, no hard fault) trips the
-// drift monitor strictly BEFORE the health monitor quarantines the device
-// — drift is the early-warning channel, not a post-mortem.
-TEST(SelfHealingHybrid, DriftAlarmFiresBeforeQuarantineUnderGraySlowdown) {
-  HybridRun run;
-  SelfHealingHybrid sut(*run.mesh, run.params, {});
-  sw::apply_initial_conditions(*run.tc, *run.mesh, sut.model().fields());
-  sut.initialize();
-
-  // Quiet slowdown from step 10 on (past the drift warmup of 8).
-  constexpr std::int64_t kOnset = 10;
-  sut.set_accel_slowdown_hook(
-      [&sut] { return sut.step_index() >= kOnset ? Real(2.2) : Real(1); });
-  sut.run(20);
-
-  ASSERT_GE(sut.drift().alarms(), 1u);
-  const auto alarm_log = sut.drift().alarm_log();
-  std::int64_t first_alarm = alarm_log.front().step;
-  for (const DriftAlarm& a : alarm_log)
-    first_alarm = std::min(first_alarm, a.step);
-  // The detector fires on its second slow observation — promptly after
-  // onset, never before it.
-  EXPECT_GE(first_alarm, kOnset);
-  EXPECT_LE(first_alarm, kOnset + 3);
-  EXPECT_GT(sut.drift().worst_ratio(), 1.5);
-
-  std::int64_t first_suspect = -1;
-  std::int64_t first_quarantine = -1;
-  for (const auto& t : sut.monitor().transitions()) {
-    if (t.to == HealthState::Suspect && first_suspect < 0)
-      first_suspect = t.step;
-    if (t.to == HealthState::Quarantined && first_quarantine < 0)
-      first_quarantine = t.step;
-  }
-  // The evidence reached the health ladder no later than the alarm step,
-  // and the system adapted (de-rated replan) off the Suspect signal —
-  // strictly before any quarantine. With the gray device de-rated the
-  // symptom disappears, so the healthy outcome is *no* quarantine at all.
-  ASSERT_GE(first_suspect, 0);
-  EXPECT_GE(first_suspect, first_alarm - 1);
-  EXPECT_TRUE(first_quarantine < 0 || first_alarm < first_quarantine)
-      << "drift must lead quarantine, not trail it";
-  EXPECT_GE(sut.replans(), 1);
-}
-
-// The dual: a clean soak must stay silent — no drift alarm, no suspect
-// transition — across 200 steps (the false-positive budget is zero).
-TEST(SelfHealingHybrid, CleanSoakRaisesNoDriftAlarms) {
-  HybridRun run;
-  SelfHealingHybrid sut(*run.mesh, run.params, {});
-  sw::apply_initial_conditions(*run.tc, *run.mesh, sut.model().fields());
-  sut.initialize();
-  sut.run(200);
-  EXPECT_EQ(sut.drift().alarms(), 0u);
-  EXPECT_FALSE(sut.drift().drifting("accel"));
-  for (const auto& t : sut.monitor().transitions()) {
-    EXPECT_NE(t.to, HealthState::Suspect) << t.reason;
-    EXPECT_NE(t.to, HealthState::Quarantined) << t.reason;
-  }
-}
 
 // Per-node ProfileScopes in SwModel: running a hybrid step with the global
 // profiler enabled populates per-(pattern, kernel, device) slots.

@@ -351,7 +351,7 @@ TEST(TelemetryOverhead, SteadyStateStaysUnderTwoPercentOfAStep) {
   const std::string tenant = "gold";
   constexpr int kProbes = 200000;
   const auto record = [&](int step) {
-    service::record_fact(WideEvent("step_excursion", tenant, 7)
+    service::record_fact(WideEvent("replan", tenant, 7)
                              .add("step", step)
                              .add("step_modeled_s", 1.25e-3 * (1 + step % 7))
                              .add("ewma_modeled_s", 1.0625e-3),

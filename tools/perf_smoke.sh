@@ -2,8 +2,9 @@
 # Run the small-mesh bench subset behind the CI perf-smoke gate and collect
 # one BENCH_<suite>.json per binary in <out_dir>. The subset is mostly
 # modeled (deterministic, compared tightly across machines with the same
-# compiler); the one measured suite (telemetry hook costs) is compared
-# under bench_compare's wide measured band.
+# compiler); the four measured suites (telemetry hook costs, profiler hook
+# costs, lock-order checking costs and durable checkpoint costs) are
+# compared under bench_compare's wide measured band.
 #
 # Usage: tools/perf_smoke.sh <build_dir> <out_dir>
 #
