@@ -76,8 +76,7 @@ int main(int argc, char** argv) {
   policy.dir = dir;
   policy.every = 10;
   policy.keep = 3;
-  service::SessionCheckpointer ckpt(policy, dir + "/chain", 1, "bench",
-                                    nullptr, nullptr);
+  service::SessionCheckpointer ckpt(policy, dir + "/chain", nullptr);
 
   // Off-cadence: the tax paid on 9 of every 10 steps at the default
   // cadence (and on every step of the disabled path's nearest cousin).

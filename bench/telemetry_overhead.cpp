@@ -1,17 +1,18 @@
 // Telemetry overhead series: the per-operation wall cost of each
 // steady-state observability hook the service layer adds to a healthy
 // session — flight-recorder ring writes (one fact copied into a full
-// ring), the disabled event-log probe, an enabled event-log emit (render
-// + write + flush one JSONL line), and one SLO rolling-window fold. Measured series with a committed baseline, gated
-// by bench_compare's wide measured band; the hard <2%-of-a-step budget is
-// asserted in tests/test_telemetry.cpp against a real profiled step.
+// ring), the disabled event-log probe, and an enabled event-log emit
+// (render + write + flush one JSONL line). SLOs cost the running service
+// nothing: obs_query folds them offline from the event log. Measured
+// series with a committed baseline, gated by bench_compare's wide
+// measured band; the hard <2%-of-a-step budget is asserted in
+// tests/test_telemetry.cpp against a real profiled step.
 #include <cstdio>
 #include <string>
 
 #include "bench_common.hpp"
 #include "obs/telemetry/event_log.hpp"
 #include "obs/telemetry/flight_recorder.hpp"
-#include "obs/telemetry/slo.hpp"
 #include "util/config.hpp"
 #include "util/timer.hpp"
 
@@ -78,15 +79,6 @@ int main(int argc, char** argv) {
   std::remove(sink.c_str());
   bench::add_measured("event_log_emit_ns", emit, "ns");
 
-  // SLO tracker: one rolling-window fold per session outcome.
-  telemetry::SloTracker slo;
-  const auto fold = runner.collect([&] {
-    return per_op_ns(ops, [&](int i) {
-      slo.record("gold", telemetry::SloDimension::ErrorRate, (i & 7) != 0);
-    });
-  });
-  bench::add_measured("slo_record_ns", fold, "ns");
-
   Table t({"hook", "ns/op p50", "ns/op p75", "stable"});
   const auto row = [&t](const char* name,
                         const bench_harness::RunResult& run) {
@@ -96,7 +88,6 @@ int main(int argc, char** argv) {
   row("flight_record", flight);
   row("event_log_disabled", probe);
   row("event_log_emit", emit);
-  row("slo_record", fold);
   bench::emit(t, "telemetry_overhead");
   return 0;
 }

@@ -2,9 +2,9 @@
 //
 //   mode=run     build a durable SessionManager (MPAS_CHECKPOINT_* env
 //                knobs), submit one long session, and run it to the end.
-//                This is the victim: the driver script watches the journal
-//                for the first durable progress mark and then SIGKILLs the
-//                process mid-run. If nobody kills it, it finishes and
+//                This is the victim: the driver script waits for the first
+//                checkpoint generation under sessions/ and then SIGKILLs
+//                the process mid-run. If nobody kills it, it finishes and
 //                exits 0 only when the result is bitwise-correct.
 //
 //   mode=resume  restart the service over the same MPAS_CHECKPOINT_DIR.

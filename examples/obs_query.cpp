@@ -15,9 +15,10 @@
 //   tenant=<name>   kind=<event kind>   session=<id>
 //   since=<ts_s>    until=<ts_s>        limit=<n>   (events mode)
 //
-// SLO mode re-derives per-tenant attainment offline from the raw events —
-// the same four dimensions the in-process SloTracker maintains — so a CI
-// job can assert service behaviour from the artifact alone:
+// SLO mode is the service's one SLO evaluator: service::fold_slo counts
+// per-tenant attainment in four dimensions (admission_latency, deadline,
+// errors, fidelity; see service/journal.hpp) over the filtered facts, so
+// a CI job asserts service behaviour from the artifact alone:
 //   mode=slo slo_target=0.95 [latency_budget_us=250000]
 //     exit 1 when any tenant/dimension with samples is below target.
 //
@@ -31,10 +32,11 @@
 // Recovery mode folds a durability journal (MPAS_CHECKPOINT_DIR/
 // journal.jsonl) with the same replay the service boots from — torn
 // final lines from a SIGKILL are tolerated, not fatal — and audits the
-// crash-recovery story: exit 1 when any recovered session's terminal
-// state diverged from the uninterrupted reference, when anything is
-// still incomplete, or when require_recovered= sessions did not recover
-// to a terminal state.
+// crash-recovery story. Its last_step column is the step a dead session
+// was re-admitted from, or the steps a terminal session ran. Exit 1 when
+// any recovered session's terminal state diverged from the uninterrupted
+// reference, when anything is still incomplete, or when
+// require_recovered= sessions did not recover to a terminal state.
 //
 // Presence assertions (summary, events and slo modes; profile and
 // recovery modes reject them with exit 2):
@@ -57,41 +59,7 @@
 #include "util/config.hpp"
 #include "util/table.hpp"
 
-namespace {
-
 using mpas::obs::json::Value;
-
-struct Event {
-  double ts = 0;
-  std::string tenant;
-  std::uint64_t session = 0;
-  std::string kind;
-  Value attrs;  // Null when the event carried none
-  std::string raw;
-};
-
-struct SloWindow {
-  std::uint64_t ok = 0;
-  std::uint64_t total = 0;
-  [[nodiscard]] double attainment() const {
-    return total == 0 ? 1.0
-                      : static_cast<double>(ok) / static_cast<double>(total);
-  }
-};
-
-double attr_number(const Event& e, const std::string& key, double fallback) {
-  if (!e.attrs.is_object() || !e.attrs.has(key)) return fallback;
-  const Value& v = e.attrs.at(key);
-  return v.is_number() ? v.as_number() : fallback;
-}
-
-std::string attr_string(const Event& e, const std::string& key) {
-  if (!e.attrs.is_object() || !e.attrs.has(key)) return {};
-  const Value& v = e.attrs.at(key);
-  return v.is_string() ? v.as_string() : std::string{};
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   // The file path is the one positional argument; everything else is
@@ -236,7 +204,7 @@ int main(int argc, char** argv) {
            is_recovery ? service::hash_hex(s.recovered_from) +
                              "@e" + std::to_string(s.recovered_from_epoch)
                        : "-",
-           std::to_string(s.progress_step),
+           std::to_string(s.last_step),
            s.terminal     ? s.terminal_state
            : s.readmitted ? std::string("readmitted")
                           : std::string("INCOMPLETE"),
@@ -287,7 +255,12 @@ int main(int argc, char** argv) {
   const double since = cfg.get_real("since", -1e300);
   const double until = cfg.get_real("until", 1e300);
 
-  std::vector<Event> events;
+  // The facts that pass the filters, parsed and verbatim (events mode).
+  std::vector<Value> facts;
+  std::vector<std::string> lines;
+  const auto kind_of = [](const Value& f) -> const std::string& {
+    return f.at("kind").as_string();
+  };
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
@@ -301,21 +274,17 @@ int main(int argc, char** argv) {
                 << ": malformed event: " << e.what() << "\n";
       return 2;
     }
-    Event event;
-    event.ts = v.at("ts").as_number();
-    event.tenant = v.at("tenant").as_string();
-    event.session = static_cast<std::uint64_t>(v.at("session").as_number());
-    event.kind = v.at("kind").as_string();
-    if (v.has("attrs")) event.attrs = v.at("attrs");
-    event.raw = line;
-
-    if (!want_tenant.empty() && event.tenant != want_tenant) continue;
-    if (!want_kind.empty() && event.kind != want_kind) continue;
-    if (want_session >= 0 &&
-        event.session != static_cast<std::uint64_t>(want_session))
+    const double ts = v.at("ts").as_number();
+    if (!want_tenant.empty() && v.at("tenant").as_string() != want_tenant)
       continue;
-    if (event.ts < since || event.ts > until) continue;
-    events.push_back(std::move(event));
+    if (!want_kind.empty() && kind_of(v) != want_kind) continue;
+    if (want_session >= 0 &&
+        static_cast<std::uint64_t>(v.at("session").as_number()) !=
+            static_cast<std::uint64_t>(want_session))
+      continue;
+    if (ts < since || ts > until) continue;
+    facts.push_back(std::move(v));
+    lines.push_back(line);
   }
 
   int exit_code = 0;
@@ -323,9 +292,9 @@ int main(int argc, char** argv) {
   if (mode == "events") {
     const long limit = cfg.get_int("limit", -1);
     long printed = 0;
-    for (const Event& e : events) {
+    for (const std::string& raw : lines) {
       if (limit >= 0 && printed >= limit) break;
-      std::cout << e.raw << "\n";
+      std::cout << raw << "\n";
       printed += 1;
     }
   } else if (mode == "summary") {
@@ -333,14 +302,16 @@ int main(int argc, char** argv) {
     std::map<std::string, std::uint64_t> by_tenant;
     double first_ts = 1e300;
     double last_ts = -1e300;
-    for (const Event& e : events) {
-      by_kind[e.kind] += 1;
-      if (!e.tenant.empty()) by_tenant[e.tenant] += 1;
-      first_ts = std::min(first_ts, e.ts);
-      last_ts = std::max(last_ts, e.ts);
+    for (const Value& f : facts) {
+      by_kind[kind_of(f)] += 1;
+      const std::string& tenant = f.at("tenant").as_string();
+      if (!tenant.empty()) by_tenant[tenant] += 1;
+      const double ts = f.at("ts").as_number();
+      first_ts = std::min(first_ts, ts);
+      last_ts = std::max(last_ts, ts);
     }
-    std::cout << "events: " << events.size() << "\n";
-    if (!events.empty())
+    std::cout << "events: " << facts.size() << "\n";
+    if (!facts.empty())
       std::cout << "span_s: " << (last_ts - first_ts) << "\n";
     mpas::Table kinds({"kind", "count"});
     for (const auto& [kind, count] : by_kind)
@@ -351,42 +322,8 @@ int main(int argc, char** argv) {
       tenants.add_row({tenant, std::to_string(count)});
     std::cout << tenants.to_ascii();
   } else if (mode == "slo") {
-    // Re-derive the in-process SloTracker's four dimensions from the raw
-    // events. Dimension <-> event mapping:
-    //   admission_latency  admit/admit_degraded/reject latency_us attr
-    //   deadline           terminal state != timed-out (among ran states)
-    //   fidelity           admit (vs admit_degraded)
-    //   errors             terminal state != failed  (among ran states)
-    const double latency_budget_us =
-        cfg.get_real("latency_budget_us", 250000.0);
-    std::map<std::string, std::map<std::string, SloWindow>> windows;
-    for (const Event& e : events) {
-      if (e.kind == "admit" || e.kind == "admit_degraded" ||
-          e.kind == "reject") {
-        const double latency = attr_number(e, "latency_us", -1);
-        if (latency >= 0) {
-          auto& w = windows[e.tenant]["admission_latency"];
-          w.total += 1;
-          if (latency <= latency_budget_us) w.ok += 1;
-        }
-        if (e.kind != "reject") {
-          auto& w = windows[e.tenant]["fidelity"];
-          w.total += 1;
-          if (e.kind == "admit") w.ok += 1;
-        }
-      } else if (e.kind == "terminal") {
-        const std::string state = attr_string(e, "state");
-        const bool ran = state == "completed" || state == "failed" ||
-                         state == "timed-out" || state == "cancelled";
-        if (!ran) continue;
-        auto& deadline = windows[e.tenant]["deadline"];
-        deadline.total += 1;
-        if (state != "timed-out") deadline.ok += 1;
-        auto& errors = windows[e.tenant]["errors"];
-        errors.total += 1;
-        if (state != "failed") errors.ok += 1;
-      }
-    }
+    const mpas::service::SloFold windows = mpas::service::fold_slo(
+        facts, cfg.get_real("latency_budget_us", 250000.0));
     mpas::Table table({"tenant", "dimension", "samples", "attainment"});
     for (const auto& [tenant, dims] : windows)
       for (const auto& [dim, w] : dims)
@@ -416,8 +353,9 @@ int main(int argc, char** argv) {
     const std::string required = cfg.get_string("require_kind", "");
     const long min_count = cfg.get_int("require_min", 1);
     const long found = static_cast<long>(
-        std::count_if(events.begin(), events.end(),
-                      [&](const Event& e) { return e.kind == required; }));
+        std::count_if(facts.begin(), facts.end(), [&](const Value& f) {
+          return kind_of(f) == required;
+        }));
     if (found < min_count) {
       std::cerr << "MISSING EVENTS: " << found << " '" << required
                 << "' events, need >= " << min_count << "\n";

@@ -9,9 +9,9 @@
 //                flexible request is admitted degraded, and every session
 //                that did run is still bitwise-correct;
 //   fault        a device quarantine mid-run degrades exactly the victim
-//                session — co-residents keep their plans, their per-step
-//                modeled times stay inside the pre-fault EWMA band, and
-//                everyone still lands on the reference bits.
+//                session — co-residents keep their plans (replans == 0,
+//                so their modeled step times never change), and everyone
+//                still lands on the reference bits.
 //
 // Run:  ./session_soak [phase=all|underload|saturation|overload|fault]
 //                      [seed=1] [workers=3] [level=2] [trace=...]
@@ -272,21 +272,6 @@ void phase_fault(const SoakConfig& soak) {
           "co-resident " + std::to_string(id) + " kept its plan");
     check(bitwise_ok(r),
           "co-resident " + std::to_string(id) + " bitwise-correct");
-    // Per-step modeled times must stay inside the band around the EWMA
-    // learned before the victim's fault fired — the neighbor's quarantine
-    // may not perturb this session's schedule.
-    Real ewma = 0;
-    bool ok = true;
-    for (std::size_t s = 0; s < r.step_modeled_seconds.size(); ++s) {
-      const Real t = r.step_modeled_seconds[s];
-      if (s < 3) {
-        ewma = s == 0 ? t : 0.8 * ewma + 0.2 * t;
-        continue;
-      }
-      ok = ok && t > 0.8 * ewma && t < 1.2 * ewma;
-    }
-    check(ok, "co-resident " + std::to_string(id) +
-                  " step times within the pre-fault EWMA band");
   }
 }
 

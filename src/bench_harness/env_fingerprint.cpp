@@ -98,7 +98,7 @@ EnvFingerprint current_fingerprint() {
   fp.hardware_threads =
       static_cast<int>(std::thread::hardware_concurrency());
   for (auto& [name, value] : env::resolved())
-    fp.config.emplace(std::move(name), std::move(value));
+    fp.config.emplace(name, std::move(value));
   return fp;
 }
 

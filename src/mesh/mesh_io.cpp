@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 
 namespace mpas::mesh {
 
@@ -15,9 +16,6 @@ constexpr char kMagic[8] = {'M', 'P', 'A', 'S', 'M', 'S', 'H', '1'};
 // producing silently wrong connectivity.
 constexpr std::uint32_t kVersion = 5;
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
 /// Streambuf tee that FNV-1a-hashes every byte written through it.
 class HashingOutBuf : public std::streambuf {
  public:
@@ -27,20 +25,18 @@ class HashingOutBuf : public std::streambuf {
  protected:
   int_type overflow(int_type ch) override {
     if (traits_type::eq_int_type(ch, traits_type::eof())) return 0;
-    mix(traits_type::to_char_type(ch));
-    return inner_->sputc(traits_type::to_char_type(ch));
+    const char c = traits_type::to_char_type(ch);
+    hash_ = util::fnv1a(hash_, &c, 1);
+    return inner_->sputc(c);
   }
   std::streamsize xsputn(const char* s, std::streamsize n) override {
-    for (std::streamsize i = 0; i < n; ++i) mix(s[i]);
+    hash_ = util::fnv1a(hash_, s, static_cast<std::size_t>(n));
     return inner_->sputn(s, n);
   }
 
  private:
-  void mix(char c) {
-    hash_ = (hash_ ^ static_cast<unsigned char>(c)) * kFnvPrime;
-  }
   std::streambuf* inner_;
-  std::uint64_t hash_ = kFnvOffset;
+  std::uint64_t hash_ = util::kFnvOffset;
 };
 
 /// Streambuf tee that hashes every byte *consumed* through it (peeks via
@@ -53,23 +49,22 @@ class HashingInBuf : public std::streambuf {
  protected:
   int_type underflow() override { return inner_->sgetc(); }
   int_type uflow() override {
-    const int_type c = inner_->sbumpc();
-    if (!traits_type::eq_int_type(c, traits_type::eof()))
-      mix(traits_type::to_char_type(c));
-    return c;
+    const int_type ch = inner_->sbumpc();
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      const char c = traits_type::to_char_type(ch);
+      hash_ = util::fnv1a(hash_, &c, 1);
+    }
+    return ch;
   }
   std::streamsize xsgetn(char* s, std::streamsize n) override {
     const std::streamsize got = inner_->sgetn(s, n);
-    for (std::streamsize i = 0; i < got; ++i) mix(s[i]);
+    hash_ = util::fnv1a(hash_, s, static_cast<std::size_t>(got));
     return got;
   }
 
  private:
-  void mix(char c) {
-    hash_ = (hash_ ^ static_cast<unsigned char>(c)) * kFnvPrime;
-  }
   std::streambuf* inner_;
-  std::uint64_t hash_ = kFnvOffset;
+  std::uint64_t hash_ = util::kFnvOffset;
 };
 
 template <class T>

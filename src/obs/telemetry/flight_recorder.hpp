@@ -9,7 +9,8 @@
 // MPAS_FLIGHT_DUMP=all, the ring is written as one JSONL file — the black
 // box that makes "why did session 7 die at step 4000?" answerable after
 // the process has moved on. Its first line is the `flight_dump` fact
-// (trigger, path, capacity, recorded, dropped); the held facts follow,
+// (trigger, path, the resolved MPAS_* configuration, capacity, recorded,
+// dropped); the held facts follow,
 // oldest first, each byte-identical to its event-log line, so obs_query
 // reads a dump like any event log. FlightDumpPolicy holds the env grammar:
 //

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace mpas::obs {
@@ -66,7 +67,15 @@ std::string to_chrome_json(const TraceRecorder& recorder) {
     emit_event(os, first, ev.str());
   }
 
-  os << "\n],\n\"displayTimeUnit\": \"ms\"\n}\n";
+  // The configuration the run used, one string per MPAS_* variable.
+  os << "\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {";
+  first = true;
+  for (const auto& [name, value] : env::resolved()) {
+    os << (first ? "" : ",") << "\"" << name << "\":\"" << json_escape(value)
+       << "\"";
+    first = false;
+  }
+  os << "}\n}\n";
   return os.str();
 }
 

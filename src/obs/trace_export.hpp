@@ -2,7 +2,9 @@
 //
 // The output is the "JSON Array Format with metadata" that both
 // chrome://tracing and https://ui.perfetto.dev load directly:
-//   { "traceEvents": [ {...}, ... ], "displayTimeUnit": "ms" }
+//   { "traceEvents": [ {...}, ... ], "displayTimeUnit": "ms",
+//     "otherData": { "MPAS_...": "<effective value>", ... } }
+// otherData holds env::resolved(): the configuration the run used.
 // Tracks map to pids (process_name metadata), lanes to tids (thread_name
 // metadata), spans to "X" complete events, instants to "i", counter
 // samples to "C". Timestamps are microseconds, as the format requires.

@@ -4,6 +4,7 @@
 
 #include "resilience/envelope.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 
 namespace mpas::resilience::durable {
 
@@ -13,15 +14,10 @@ constexpr char kMagic[8] = {'M', 'P', 'A', 'S', 'C', 'K', 'P', '1'};
 constexpr std::size_t kHeaderBytes = 48;
 constexpr std::size_t kSlotHeaderBytes = 24;
 
-// FNV-1a 64 over raw bytes: the header's self-check. Slot payloads use the
-// envelope checksum instead (seeded, Real-word based).
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
+// The header's self-check: FNV-1a over its 32 bytes from the version word
+// through slot_count. Slot payloads use the seeded envelope checksum.
+std::uint64_t header_check(const std::uint8_t* version_word) {
+  return util::fnv1a(util::kFnvOffset, version_word, 32);
 }
 
 template <class T>
@@ -79,7 +75,7 @@ std::vector<std::vector<std::uint8_t>> encode_chunks(
   put(header, image.step);
   put(header, image.user_tag);
   put(header, static_cast<std::uint64_t>(image.slots.size()));
-  put(header, fnv1a(header.data() + 8, 32));  // over version..slot_count
+  put(header, header_check(header.data() + 8));
   chunks.push_back(std::move(header));
 
   for (const auto& s : image.slots) {
@@ -108,7 +104,7 @@ CheckpointImage decode_checkpoint(const std::vector<std::uint8_t>& bytes) {
                                                   << " bytes < header");
   MPAS_CHECK_MSG(std::memcmp(in.data, kMagic, sizeof(kMagic)) == 0,
                  "durable checkpoint: bad magic");
-  const std::uint64_t header_crc = fnv1a(in.data + 8, 32);
+  const std::uint64_t header_crc = header_check(in.data + 8);
   in.data += sizeof(kMagic);
   in.remaining -= sizeof(kMagic);
 

@@ -2,9 +2,10 @@
 //
 // A durable checkpoint is a flat byte stream: one fixed-size header chunk
 // followed by one chunk per (rank, slot) array. Every chunk carries its own
-// integrity word — the header a local FNV over its fields, each slot the
-// PR-1 envelope checksum seeded with a (step, rank, slot) sequence — so a
-// reader can pinpoint damage without trusting any other part of the file.
+// integrity word — the header an FNV-1a (util/fnv.hpp) over its fields,
+// each slot the message-envelope checksum seeded with a (step, rank, slot)
+// sequence — so a reader can pinpoint damage without trusting any other
+// part of the file.
 //
 //   header   magic "MPASCKP1" | u32 version | u32 reserved
 //            | i64 step | u64 user_tag | u64 slot_count | u64 header_crc

@@ -7,8 +7,7 @@
 
 namespace mpas::resilience::durable {
 
-DurableWriter::DurableWriter(DurableStore& store, PublishCallback on_publish)
-    : store_(store), on_publish_(std::move(on_publish)) {
+DurableWriter::DurableWriter(DurableStore& store) : store_(store) {
   thread_ = std::thread([this] { loop(); });
 }
 
@@ -70,10 +69,8 @@ void DurableWriter::loop() {
       staged_.reset();
       writing_ = true;
     }
-    // Publish (and notify) strictly outside the lock: the fsync protocol is
-    // file I/O and the callback takes journal/metrics locks.
+    // Publish strictly outside the lock: the fsync protocol is file I/O.
     const PublishResult result = store_.publish(image);
-    if (on_publish_) on_publish_(image, result);
     {
       util::LockGuard lock(mutex_);
       writing_ = false;

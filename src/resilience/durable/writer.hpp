@@ -9,11 +9,12 @@
 // newest state is the only one recovery wants anyway.
 //
 // flush() is the barrier for shutdown and tests: it waits until the staged
-// slot is empty AND no publish is in flight.
+// slot is empty AND no publish is in flight. published() and dropped() are
+// the writer's whole report: what reached disk is read back from the
+// store (DurableStore::load_latest), its one record.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <thread>
 
@@ -26,12 +27,7 @@ namespace mpas::resilience::durable {
 
 class DurableWriter {
  public:
-  /// Called after every publish attempt, on the writer thread, outside the
-  /// writer's lock (it may journal / take higher-ranked locks).
-  using PublishCallback =
-      std::function<void(const CheckpointImage&, const PublishResult&)>;
-
-  explicit DurableWriter(DurableStore& store, PublishCallback on_publish = {});
+  explicit DurableWriter(DurableStore& store);
   ~DurableWriter();  // flushes staged work, then joins
 
   DurableWriter(const DurableWriter&) = delete;
@@ -52,7 +48,6 @@ class DurableWriter {
   void loop();
 
   DurableStore& store_;
-  PublishCallback on_publish_;
 
   // Leaf-ish lock (rank kDurableWriter): held only for staging-slot swaps
   // and counter reads, never across the publish I/O.

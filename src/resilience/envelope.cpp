@@ -2,13 +2,13 @@
 
 #include <cstring>
 
+#include "util/fnv.hpp"
+
 namespace mpas::resilience {
 
 namespace {
 
 constexpr std::uint64_t kMagic = 0x4D504153ull;  // "MPAS"
-constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ull;
 
 Real encode_word(std::uint64_t v) {
   Real r;
@@ -26,13 +26,7 @@ std::uint64_t decode_word(Real r) {
 }  // namespace
 
 std::uint64_t checksum(std::uint64_t seq, const Real* data, std::size_t n) {
-  std::uint64_t h = kFnvOffset ^ seq;
-  const unsigned char* bytes = reinterpret_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n * sizeof(Real); ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  return h;
+  return util::fnv1a(util::kFnvOffset ^ seq, data, n * sizeof(Real));
 }
 
 std::vector<Real> seal(std::uint64_t seq, std::vector<Real> payload) {

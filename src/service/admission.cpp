@@ -150,11 +150,7 @@ AdmissionOutcome AdmissionController::decide(
 
   // Rung 3: reclaim borrowed queue slots — but only for a request that
   // would itself sit within its guarantee (reclaiming to borrow more
-  // would just thrash). Exception: a tenant burning its SLO error budget
-  // at >= slo_burn_guarantee gets this rung even beyond its guarantee —
-  // capacity spent stopping a breach beats capacity lent to borrowers.
-  const bool burn_priority =
-      input.tenant_burn_rate >= policy_.slo_burn_guarantee - kEps;
+  // would just thrash).
   std::vector<ShedCandidate> candidates = input.queued;
   const auto rehearse_shed = [&](const ShedCandidate& c,
                                  const std::string& why, ReasonCode code) {
@@ -165,7 +161,7 @@ AdmissionOutcome AdmissionController::decide(
         std::find_if(candidates.begin(), candidates.end(),
                      [&c](const ShedCandidate& x) { return x.id == c.id; }));
   };
-  if (mine + out.cost <= budget + kEps || burn_priority) {
+  if (mine + out.cost <= budget + kEps) {
     while (!fits(out.cost)) {
       // Most polite eviction: the borrowed slot of the tenant furthest
       // over its guarantee; ties to the lowest priority, then youngest.
@@ -189,22 +185,12 @@ AdmissionOutcome AdmissionController::decide(
       std::ostringstream os;
       os << "reclaimed: tenant '" << best->tenant
          << "' was borrowing beyond its guaranteed share and tenant '"
-         << request.tenant << "' claimed its ";
-      if (burn_priority && mine + out.cost > budget + kEps)
-        os << "SLO burn-rate priority (burn "
-           << input.tenant_burn_rate << " >= " << policy_.slo_burn_guarantee
-           << ")";
-      else
-        os << "guarantee";
+         << request.tenant << "' claimed its guarantee";
       rehearse_shed(*best, os.str(), ReasonCode::ShedReclaimed);
     }
     if (fits(out.cost)) {
-      std::ostringstream os;
-      os << "after reclaiming borrowed capacity";
-      if (burn_priority && mine + out.cost > budget + kEps)
-        os << " under SLO burn-rate priority (burn "
-           << input.tenant_burn_rate << ")";
-      admit(out.cost, os.str(), ReasonCode::AdmitReclaimed);
+      admit(out.cost, "after reclaiming borrowed capacity",
+            ReasonCode::AdmitReclaimed);
       return out;
     }
   }

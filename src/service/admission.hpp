@@ -16,6 +16,10 @@
 //   backpressure -> fit within guarantee -> borrow spare -> reclaim
 //   borrowed slots -> shed lower-priority queued work -> degrade fidelity
 //   (coarser level, halved output cadence) -> reject with reason
+//
+// A verdict depends only on the request and the load snapshot in
+// AdmissionInput. SLO attainment is not an input: it is judged offline
+// from the fact log (service::fold_slo), never fed back into the ladder.
 #pragma once
 
 #include <cstdint>
@@ -69,12 +73,6 @@ struct AdmissionPolicy {
   std::size_t max_queued_per_tenant = 16;
   /// Degraded-fidelity floor: never coarsen below this level.
   int degrade_min_level = 1;
-  /// SLO coupling: a tenant whose error-budget burn rate is at or above
-  /// this gets guarantee-priority on the reclaim rung even when the
-  /// request would put it over its guaranteed share — the service spends
-  /// borrowed capacity to stop an SLO breach before it spends it on
-  /// tenants that are still inside their budgets.
-  Real slo_burn_guarantee = 2.0;
 };
 
 /// A queued session the controller may evict to make room.
@@ -94,10 +92,6 @@ struct AdmissionInput {
   std::map<std::string, Real> outstanding_by_tenant;
   std::size_t queued_of_tenant = 0;
   std::vector<ShedCandidate> queued;
-  /// The submitting tenant's worst SLO error-budget burn rate (from the
-  /// SloTracker; 0 when the tenant has no history). >= slo_burn_guarantee
-  /// unlocks the reclaim rung even beyond the tenant's guarantee.
-  Real tenant_burn_rate = 0;
 };
 
 /// A queued session the verdict evicts, with both reason forms.

@@ -4,8 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "service/facts.hpp"
-#include "service/journal.hpp"
 #include "service/session.hpp"  // state_hash
 #include "sw/state_codec.hpp"
 #include "util/env.hpp"
@@ -35,28 +33,11 @@ std::string DurabilityPolicy::session_dir(int epoch, std::uint64_t id) const {
 
 SessionCheckpointer::SessionCheckpointer(const DurabilityPolicy& policy,
                                          std::string chain_dir,
-                                         std::uint64_t id, std::string tenant,
-                                         SessionJournal* journal,
                                          resilience::FaultInjector* injector)
     : every_(policy.every),
       chain_dir_(std::move(chain_dir)),
-      id_(id),
-      tenant_(std::move(tenant)),
-      journal_(journal),
       store_({chain_dir_, policy.keep, injector}),
-      writer_(store_,
-              // Runs on the writer thread, outside the writer's lock: each
-              // sink of the progress fact is file I/O under its own leaf
-              // lock.
-              [this](const resilience::durable::CheckpointImage& image,
-                     const resilience::durable::PublishResult& result) {
-                if (!result.published) return;
-                record_fact(obs::telemetry::WideEvent("progress", tenant_, id_)
-                                .add("step", image.step)
-                                .add("generation", result.generation)
-                                .add("hash", hash_hex(image.user_tag)),
-                            nullptr, journal_);
-              }) {
+      writer_(store_) {
   MPAS_CHECK_MSG(every_ >= 1, "checkpoint cadence must be >= 1");
 }
 

@@ -9,8 +9,9 @@
 // on_step() is called at every completed step: off-cadence it returns
 // immediately; on-cadence it copies the state fields (sw::state_fields(),
 // rank 0) and stages them for the writer thread — the integrator never
-// waits on an fsync. Each published generation is journaled as a
-// "progress" mark.
+// waits on an fsync. Published generations are not journaled: the store
+// is the one record of durable progress, and recovery reads it with
+// DurableStore::load_latest.
 //
 // Checkpoints of a recovery chain live in ONE directory, keyed by the
 // chain's root (first epoch, first id): a recovered session inherits its
@@ -29,8 +30,6 @@
 #include "util/env.hpp"
 
 namespace mpas::service {
-
-class SessionJournal;
 
 /// Defaults are the env table's (util/env.hpp): DurabilityPolicy{} and
 /// from_env() with the variables unset agree by construction.
@@ -51,12 +50,10 @@ struct DurabilityPolicy {
 
 class SessionCheckpointer {
  public:
-  /// `chain_dir` is DurabilityPolicy::session_dir of the chain root.
-  /// `journal` may be null (tests); `injector` arms the storage-fault
-  /// surface on every publish.
+  /// `chain_dir` is DurabilityPolicy::session_dir of the chain root;
+  /// `injector` (may be null) arms the storage-fault surface on every
+  /// publish.
   SessionCheckpointer(const DurabilityPolicy& policy, std::string chain_dir,
-                      std::uint64_t id, std::string tenant,
-                      SessionJournal* journal,
                       resilience::FaultInjector* injector);
 
   /// Called after each completed step. Stages a snapshot when the cadence
@@ -76,9 +73,6 @@ class SessionCheckpointer {
  private:
   int every_;
   std::string chain_dir_;
-  std::uint64_t id_;
-  std::string tenant_;
-  SessionJournal* journal_;
   resilience::durable::DurableStore store_;
   resilience::durable::DurableWriter writer_;
 };

@@ -99,15 +99,6 @@ JournalReplay replay_journal(const std::string& path) {
         s.recovered_from_epoch =
             static_cast<int>(num(a, "recovered_from_epoch", 0));
         replay.sessions[key] = std::move(s);
-      } else if (kind == "progress") {
-        auto it = replay.sessions.find(key);
-        if (it == replay.sessions.end()) continue;  // progress w/o admit
-        const auto& a = v.at("attrs");
-        it->second.progress_step = static_cast<std::int64_t>(num(a, "step", -1));
-        it->second.progress_generation =
-            static_cast<std::uint64_t>(num(a, "generation", 0));
-        if (a.has("hash"))
-          it->second.progress_hash = parse_hash_hex(a.at("hash").as_string());
       } else if (kind == "terminal") {
         auto it = replay.sessions.find(key);
         if (it == replay.sessions.end()) continue;
@@ -116,12 +107,17 @@ JournalReplay replay_journal(const std::string& path) {
         if (a.has("state"))
           it->second.terminal_state = a.at("state").as_string();
         it->second.terminal_diverged = flag(a, "diverged", false);
+        it->second.last_step =
+            static_cast<std::int64_t>(num(a, "steps_done", -1));
       } else if (kind == "readmitted") {
         // Emitted against the *old* session's (epoch, id).
         const auto& a = v.at("attrs");
         const int of_epoch = static_cast<int>(num(a, "of_epoch", 0));
         auto it = replay.sessions.find(std::make_pair(of_epoch, id));
-        if (it != replay.sessions.end()) it->second.readmitted = true;
+        if (it == replay.sessions.end()) continue;
+        it->second.readmitted = true;
+        it->second.last_step =
+            static_cast<std::int64_t>(num(a, "from_step", -1));
       }
     } catch (const std::exception&) {
       // A SIGKILL tears at most the final line; skip and count, never fail.
@@ -132,6 +128,46 @@ JournalReplay replay_journal(const std::string& path) {
     MPAS_LOG_WARN << "journal " << path << ": skipped "
                   << replay.malformed_lines << " malformed line(s)";
   return replay;
+}
+
+SloFold fold_slo(const std::vector<obs::json::Value>& facts,
+                 double latency_budget_us) {
+  // attrs[key], or null when the fact does not carry it.
+  const auto attr = [](const obs::json::Value& fact,
+                       const char* key) -> const obs::json::Value* {
+    if (!fact.has("attrs") || !fact.at("attrs").has(key)) return nullptr;
+    return &fact.at("attrs").at(key);
+  };
+  SloFold fold;
+  for (const obs::json::Value& fact : facts) {
+    const std::string& kind = fact.at("kind").as_string();
+    const std::string& tenant = fact.at("tenant").as_string();
+    const auto count = [&fold, &tenant](const char* dimension, bool ok) {
+      SloCount& c = fold[tenant][dimension];
+      c.total += 1;
+      if (ok) c.ok += 1;
+    };
+    if (kind == "admit" || kind == "admit_degraded" || kind == "reject") {
+      // A shutdown reject carries no latency: no decision was timed.
+      const obs::json::Value* latency = attr(fact, "latency_us");
+      if (latency != nullptr && latency->is_number() &&
+          latency->as_number() >= 0)
+        count("admission_latency", latency->as_number() <= latency_budget_us);
+      if (kind != "reject") count("fidelity", kind == "admit");
+    } else if (kind == "terminal") {
+      const obs::json::Value* state = attr(fact, "state");
+      if (state == nullptr || !state->is_string()) continue;
+      const std::string& s = state->as_string();
+      const bool ran = s == to_string(SessionState::Completed) ||
+                       s == to_string(SessionState::Failed) ||
+                       s == to_string(SessionState::TimedOut) ||
+                       s == to_string(SessionState::Cancelled);
+      if (!ran) continue;
+      count("deadline", s != to_string(SessionState::TimedOut));
+      count("errors", s != to_string(SessionState::Failed));
+    }
+  }
+  return fold;
 }
 
 }  // namespace mpas::service

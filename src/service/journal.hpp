@@ -1,4 +1,6 @@
-// The session journal: an append-only WAL of service facts.
+// The session journal, an append-only WAL of service facts, and the two
+// folds of the fact log: replay_journal (durability) and fold_slo (SLO
+// attainment).
 //
 // Where the event log is an *observability* artifact (truncated per run,
 // optional), the journal is a *durability* artifact: it lives next to the
@@ -14,7 +16,6 @@
 //   admit,          a session entered the system; attrs carry the
 //   admit_degraded  verdict and the *effective* request, enough to re-run
 //                   it exactly (replay folds both kinds as an admission)
-//   progress        a durable checkpoint generation published for a session
 //   terminal        the session reached a terminal state
 //   readmitted      recovery re-submitted an incomplete session under a new id
 //
@@ -23,9 +24,21 @@
 // Flags (allow_degraded, recovered, diverged) are JSON bools; replay also
 // accepts the 0/1 numbers older journals carry.
 //
+// Durable progress is not journaled: the checkpoint store is its one
+// record, and recovery reads it through DurableStore::load_latest.
+//
 // A SIGKILL can tear the final line; replay_journal therefore skips (and
 // counts) malformed lines instead of failing — everything before the torn
 // line is still good, which is exactly the WAL contract.
+//
+// fold_slo is the service's one SLO evaluator. It reads the event log's
+// facts (or any file of them) and counts, per tenant, four dimensions:
+//   admission_latency  admit, admit_degraded, reject: latency_us <= budget
+//   fidelity           admit (an admit_degraded is a miss)
+//   deadline           terminal of a session that ran: not timed-out
+//   errors             terminal of a session that ran: not failed
+// A shed or rejected session never ran, so its terminal fact counts
+// toward neither deadline nor errors.
 #pragma once
 
 #include <atomic>
@@ -37,6 +50,10 @@
 
 #include "obs/telemetry/event_log.hpp"
 #include "service/request.hpp"
+
+namespace mpas::obs::json {
+class Value;
+}  // namespace mpas::obs::json
 
 namespace mpas::service {
 
@@ -79,9 +96,9 @@ struct JournalSession {
   bool readmitted = false;   // a later epoch re-submitted it
   std::string terminal_state;
   bool terminal_diverged = false;
-  std::int64_t progress_step = -1;       // newest durable progress mark
-  std::uint64_t progress_generation = 0;
-  std::uint64_t progress_hash = 0;       // state hash at progress_step
+  /// The readmitted fact's from_step (-1: no checkpoint survived), or the
+  /// terminal fact's steps_done; -1 while neither is journaled.
+  std::int64_t last_step = -1;
   std::uint64_t recovered_from = 0;      // admit: id this resumes (0 = none)
   int recovered_from_epoch = 0;
 };
@@ -98,6 +115,25 @@ struct JournalReplay {
 
 /// Fold a journal file. Missing file = empty replay (a fresh directory).
 JournalReplay replay_journal(const std::string& path);
+
+/// One tenant's outcomes in one SLO dimension.
+struct SloCount {
+  std::uint64_t ok = 0;
+  std::uint64_t total = 0;
+  /// Success fraction; 1 with no samples.
+  [[nodiscard]] double attainment() const {
+    return total == 0 ? 1.0
+                      : static_cast<double>(ok) / static_cast<double>(total);
+  }
+};
+
+/// tenant -> dimension -> outcomes, both in name order.
+using SloFold = std::map<std::string, std::map<std::string, SloCount>>;
+
+/// Fold SLO outcomes from parsed fact lines (the JSONL envelope of
+/// event_log.hpp); `latency_budget_us` is the admission-latency pass mark.
+SloFold fold_slo(const std::vector<obs::json::Value>& facts,
+                 double latency_budget_us);
 
 /// Render / parse the hex form used for u64 hashes in attrs.
 std::string hash_hex(std::uint64_t hash);

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "util/types.hpp"
 
@@ -120,9 +119,6 @@ struct SessionResult {
   /// FNV-1a over the final H and U fields — equal to the reference hash
   /// for the same (level, case, steps) iff the run was bitwise correct.
   std::uint64_t state_hash = 0;
-  /// Modeled seconds of each completed step (the soak's EWMA-band check
-  /// that co-resident sessions were undisturbed by a neighbor's fault).
-  std::vector<Real> step_modeled_seconds;
   /// Crash-recovery provenance: this session was re-admitted by the
   /// RecoveryManager and resumed from a durable checkpoint.
   bool recovered = false;

@@ -15,6 +15,7 @@
 #include "sw/state_codec.hpp"
 #include "sw/testcases.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 #include "util/lock_ranks.hpp"
 #include "util/logging.hpp"
 #include "util/mutex.hpp"
@@ -22,18 +23,6 @@
 namespace mpas::service {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-void fnv_mix(std::uint64_t& hash, std::span<const Real> values) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
-  const std::size_t n = values.size() * sizeof(Real);
-  for (std::size_t i = 0; i < n; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-}
 
 sw::SwParams params_for(const sw::TestCase& tc,
                         const mesh::VoronoiMesh& mesh) {
@@ -45,9 +34,11 @@ sw::SwParams params_for(const sw::TestCase& tc,
 }  // namespace
 
 std::uint64_t state_hash(const sw::FieldStore& fields) {
-  std::uint64_t hash = kFnvOffset;
-  fnv_mix(hash, fields.get(sw::FieldId::H));
-  fnv_mix(hash, fields.get(sw::FieldId::U));
+  std::uint64_t hash = util::kFnvOffset;
+  for (const sw::FieldId id : {sw::FieldId::H, sw::FieldId::U}) {
+    const std::span<const Real> values = fields.get(id);
+    hash = util::fnv1a(hash, values.data(), values.size_bytes());
+  }
   return hash;
 }
 
@@ -167,7 +158,6 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
   Real spent = ctx.modeled_seconds_spent;
   result.steps_done = 0;
   result.outputs_written = 0;
-  result.step_modeled_seconds.clear();
 
   int last_replans = sut.replans();
 
@@ -228,7 +218,6 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
       tracer.record(std::move(ev));
     }
     spent += step_seconds;
-    result.step_modeled_seconds.push_back(step_seconds);
     result.steps_done = s + 1;
 
     const int replans = sut.replans();

@@ -11,6 +11,7 @@
 #include "resilience/fault_env.hpp"
 #include "service/facts.hpp"
 #include "service/session.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/lock_ranks.hpp"
 #include "util/logging.hpp"
@@ -30,7 +31,6 @@ SessionManager::SessionManager(ServiceOptions opts)
     : opts_(opts),
       costs_(opts.sim),
       admission_(opts.admission, &costs_),
-      slo_(opts.slo),
       flight_dump_(opts.flight_dump) {
   // Arm the lock-order detector when MPAS_LOCK_CHECK=1 (idempotent; near
   // zero cost when the variable is unset).
@@ -130,18 +130,13 @@ std::uint64_t SessionManager::submit_locked(
     return id;
   }
 
-  // The admission decision is itself under an SLO: wall-time it, and feed
-  // the tenant's current burn rate in as a ladder input.
-  AdmissionInput input = admission_input_locked(request.tenant);
-  input.tenant_burn_rate = slo_.worst_burn_rate(request.tenant);
+  // The admission decision is wall-timed: its latency_us attr is the
+  // admission-latency SLO dimension that fold_slo reads back.
+  const AdmissionInput input = admission_input_locked(request.tenant);
   const double decide_start_s = monotonic_seconds();
   const AdmissionOutcome verdict = admission_.decide(request, input);
   const double latency_us =
       (monotonic_seconds() - decide_start_s) * 1e6;
-  record_slo_locked(request.tenant,
-                    telemetry::SloDimension::AdmissionLatency,
-                    latency_us <= slo_.policy().admission_latency_budget_us,
-                    id);
 
   if (verdict.action == AdmissionOutcome::Action::Reject) {
     rec->result.state = SessionState::Rejected;
@@ -194,9 +189,6 @@ std::uint64_t SessionManager::submit_locked(
   stats_.admitted += 1;
   if (rec->result.degraded) stats_.admitted_degraded += 1;
   stats_.admitted_seconds_by_tenant[request.tenant] += verdict.cost;
-  record_slo_locked(request.tenant,
-                    telemetry::SloDimension::DegradedFidelity,
-                    !rec->result.degraded, id);
 
   // Every admitted session gets a black box; its first entry is the
   // admission verdict with the arithmetic that produced it. The same fact
@@ -213,7 +205,6 @@ std::uint64_t SessionManager::submit_locked(
       .add("budget", admission_.tenant_budget(request.tenant))
       .add("borrowed", verdict.borrowed)
       .add("latency_us", latency_us)
-      .add("burn_rate", input.tenant_burn_rate)
       .add("mesh_level", eff.mesh_level)
       .add("test_case", eff.test_case)
       .add("steps", eff.steps)
@@ -297,8 +288,7 @@ void SessionManager::run_one(std::uint64_t id) {
                                         rec.resume->from_id)
             : opts_.durable.session_dir(journal_.epoch(), id);
     rec.durable = std::make_unique<SessionCheckpointer>(
-        opts_.durable, chain_dir, id, req.tenant, &journal_,
-        resilience::env_fault_injector());
+        opts_.durable, chain_dir, resilience::env_fault_injector());
   }
   Real backoff_spent = 0;
   for (int attempt = 1; attempt <= opts_.max_attempts; ++attempt) {
@@ -422,8 +412,8 @@ void SessionManager::finish_locked(Record& rec, SessionState state,
     default: break;
   }
 
-  // SLO samples describe sessions that actually ran (or were dispatched):
-  // a Shed/Rejected session says nothing about deadline or error fates.
+  // A recovered session counts once it ran to an end; a Shed or Rejected
+  // re-admission never ran.
   const bool ran = state == SessionState::Completed ||
                    state == SessionState::Failed ||
                    state == SessionState::TimedOut ||
@@ -431,12 +421,6 @@ void SessionManager::finish_locked(Record& rec, SessionState state,
   if (ran && rec.result.recovered) {
     stats_.recovered += 1;
     if (rec.result.diverged) stats_.recovered_diverged += 1;
-  }
-  if (ran) {
-    record_slo_locked(rec.result.tenant, telemetry::SloDimension::DeadlineMiss,
-                      state != SessionState::TimedOut, rec.result.id);
-    record_slo_locked(rec.result.tenant, telemetry::SloDimension::ErrorRate,
-                      state != SessionState::Failed, rec.result.id);
   }
 
   // The terminal fact doubles as the durability WAL's terminal record: it
@@ -499,9 +483,12 @@ void SessionManager::flush_flight_dumps() {
     std::filesystem::create_directories(dump.dir, ec);
     // The dump's first line is this fact, completed with the ring's counts
     // by dump_to_file and stamped before the write, so the event log
-    // receives the same bytes once the file is on disk.
+    // receives the same bytes once the file is on disk. It carries the
+    // configuration the run used, one attr per MPAS_* variable.
     WideEvent header("flight_dump", dump.tenant, dump.id);
     header.add("trigger", dump.trigger).add("path", dump.path);
+    for (auto& [name, value] : env::resolved())
+      header.add(name, std::move(value));
     header.ts_s = monotonic_seconds();
     if (dump.flight->dump_to_file(dump.path, header)) {
       MPAS_LOG_INFO << "session " << dump.id << " flight recorder dumped to "
@@ -515,23 +502,6 @@ void SessionManager::flush_flight_dumps() {
                     << dump.path << " failed";
     }
   }
-}
-
-void SessionManager::record_slo_locked(const std::string& tenant,
-                                       telemetry::SloDimension dimension,
-                                       bool ok, std::uint64_t session) {
-  const telemetry::SloSample sample = slo_.record(tenant, dimension, ok);
-  auto& registry = obs::MetricsRegistry::global();
-  const std::string base =
-      "service.slo." + tenant + "." + telemetry::to_string(dimension);
-  registry.gauge(base + ".attainment").set(sample.attainment);
-  registry.gauge(base + ".burn_rate").set(sample.burn_rate);
-  if (!sample.breach) return;
-  stats_.slo_breaches += 1;
-  record_fact(WideEvent("slo_breach", tenant, session)
-                  .add("dimension", telemetry::to_string(dimension))
-                  .add("attainment", sample.attainment)
-                  .add("burn_rate", sample.burn_rate));
 }
 
 bool SessionManager::cancel(std::uint64_t id) {
@@ -653,7 +623,6 @@ void SessionManager::publish_locked() const {
   set("service.sessions.cancelled", static_cast<double>(stats_.cancelled));
   set("service.sessions.timed_out", static_cast<double>(stats_.timed_out));
   set("service.sessions.retries", static_cast<double>(stats_.retries));
-  set("service.slo.breaches", static_cast<double>(stats_.slo_breaches));
   set("service.flight_dumps", static_cast<double>(stats_.flight_dumps));
   set("service.sessions.recovered", static_cast<double>(stats_.recovered));
   set("service.sessions.recovered_diverged",

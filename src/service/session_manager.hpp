@@ -28,7 +28,6 @@
 #include <optional>
 
 #include "obs/telemetry/flight_recorder.hpp"
-#include "obs/telemetry/slo.hpp"
 #include "service/admission.hpp"
 #include "service/durable_session.hpp"
 #include "service/fair_queue.hpp"
@@ -50,8 +49,6 @@ struct ServiceOptions {
   /// (doubled per retry, charged against the deadline).
   int max_attempts = 3;
   Real backoff_start_modeled_s = 0.05;
-  /// Per-tenant SLO windows and targets.
-  obs::telemetry::SloPolicy slo;
   /// Flight-recorder dump policy (MPAS_FLIGHT_DUMP grammar by default).
   obs::telemetry::FlightDumpPolicy flight_dump =
       obs::telemetry::FlightDumpPolicy::from_env();
@@ -72,7 +69,6 @@ struct ServiceStats {
   std::uint64_t cancelled = 0;
   std::uint64_t timed_out = 0;
   std::uint64_t retries = 0;
-  std::uint64_t slo_breaches = 0;   // breach edges across tenants/dims
   std::uint64_t flight_dumps = 0;   // black-box files written
   std::uint64_t recovered = 0;      // crash-recovered sessions gone terminal
   std::uint64_t recovered_diverged = 0;  // ...whose trajectory diverged
@@ -125,10 +121,6 @@ class SessionManager {
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] const CostModel& costs() const { return costs_; }
   [[nodiscard]] Real tenant_budget(const std::string& tenant) const;
-  /// The per-tenant SLO windows (rolling attainment / burn rates).
-  [[nodiscard]] const obs::telemetry::SloTracker& slo() const {
-    return slo_;
-  }
   /// The durability policy in force (off when dir is empty).
   [[nodiscard]] const DurabilityPolicy& durability() const {
     return opts_.durable;
@@ -190,11 +182,6 @@ class SessionManager {
   /// I/O and a thread join): retire and release its durable checkpointer,
   /// then flush the queued flight dumps.
   void after_terminal(Record& rec) MPAS_EXCLUDES(mutex_);
-  /// Fold one SLO sample, publish service.slo.* gauges, and record the
-  /// slo_breach fact on a breach (lock held).
-  void record_slo_locked(const std::string& tenant,
-                         obs::telemetry::SloDimension dimension, bool ok,
-                         std::uint64_t session) MPAS_REQUIRES(mutex_);
   void publish_locked() const MPAS_REQUIRES(mutex_);
   [[nodiscard]] AdmissionInput admission_input_locked(
       const std::string& tenant) const MPAS_REQUIRES(mutex_);
@@ -203,7 +190,6 @@ class SessionManager {
   CostModel costs_;
   AdmissionController admission_;
   MeshStore meshes_;
-  obs::telemetry::SloTracker slo_;
   obs::telemetry::FlightDumpPolicy flight_dump_;
   /// The durability WAL (inert unless opts_.durable is enabled). Owns its
   /// own leaf lock; appended to both under and outside mutex_.

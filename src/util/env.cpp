@@ -91,8 +91,8 @@ std::string effective(const Variable& var) {
 
 }  // namespace
 
-std::vector<std::pair<std::string, std::string>> resolved() {
-  std::vector<std::pair<std::string, std::string>> out;
+std::vector<std::pair<const char*, std::string>> resolved() {
+  std::vector<std::pair<const char*, std::string>> out;
   for (const Variable& var : kVariables)
     out.emplace_back(var.name, effective(var));
   return out;

@@ -83,7 +83,8 @@ std::optional<std::string> text(const char* name);
 
 /// Every declared variable with its effective value under the rule above
 /// ("1"/"0" for a flag, "" for unset Text without a default), in table
-/// order: the configuration a run used.
-std::vector<std::pair<std::string, std::string>> resolved();
+/// order: the configuration a run used. Each name is the table's own
+/// literal, so it can key a fact's attr.
+std::vector<std::pair<const char*, std::string>> resolved();
 
 }  // namespace mpas::env

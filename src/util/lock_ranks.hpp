@@ -52,7 +52,6 @@ inline constexpr int kMeshCache = 56;         // mesh.cache
 inline constexpr int kPerfProfiler = 59;      // obs.profiler
 
 // ---- observability sinks (innermost but for logging) ----
-inline constexpr int kSlo = 60;               // obs.slo
 inline constexpr int kFlightRecorder = 62;    // obs.flight_recorder
 inline constexpr int kEventLog = 64;          // obs.event_log
 inline constexpr int kMetricsSession = 66;    // obs.metrics.session

@@ -393,26 +393,6 @@ TEST(DurableWriter, BackgroundPublishDrainsWithLatestWins) {
   EXPECT_EQ(loaded->image.step, kSubmits);
 }
 
-TEST(DurableWriter, PublishCallbackSeesEveryPublishedImage) {
-  TempDir dir("callback");
-  DurableStore store({dir.path(), 100, nullptr});
-  std::vector<std::pair<std::int64_t, std::uint64_t>> seen;
-  {
-    DurableWriter writer(store,
-                         [&seen](const CheckpointImage& image,
-                                 const PublishResult& result) {
-                           if (result.published)
-                             seen.emplace_back(image.step, result.generation);
-                         });
-    writer.submit(small_image(5));
-    ASSERT_TRUE(writer.flush());
-    // flush() is the barrier: the callback happened-before it returned.
-    ASSERT_EQ(seen.size(), 1u);
-    EXPECT_EQ(seen[0].first, 5);
-    EXPECT_EQ(seen[0].second, 1u);
-  }
-}
-
 }  // namespace
 }  // namespace mpas::resilience::durable
 
@@ -544,13 +524,10 @@ TEST(SessionJournal, AppendReplayRoundTripsAndFoldsEpochs) {
                      .add("test_case", 5)
                      .add("steps", 8)
                      .add("output_every", 2));
-  journal.append(WideEvent("progress", "gold", 1)
-                     .add("step", 4)
-                     .add("generation", std::uint64_t{2})
-                     .add("hash", hash_hex(0xDEADBEEFCAFEF00Dull)));
   journal.append(WideEvent("admit", "silver", 2).add("steps", 6));
   journal.append(WideEvent("terminal", "silver", 2)
                      .add("state", "completed")
+                     .add("steps_done", 6)
                      .add("diverged", false));
   journal.close();
 
@@ -571,14 +548,13 @@ TEST(SessionJournal, AppendReplayRoundTripsAndFoldsEpochs) {
   EXPECT_EQ(gold.request.mesh_level, 2);
   EXPECT_EQ(gold.request.test_case, 5);
   EXPECT_EQ(gold.request.steps, 8);
-  EXPECT_EQ(gold.progress_step, 4);
-  EXPECT_EQ(gold.progress_generation, 2u);
-  EXPECT_EQ(gold.progress_hash, 0xDEADBEEFCAFEF00Dull);
+  EXPECT_EQ(gold.last_step, -1);  // neither re-admitted nor terminal
 
   const JournalSession& silver = replay.sessions.at({1, 2});
   EXPECT_TRUE(silver.terminal);
   EXPECT_EQ(silver.terminal_state, "completed");
   EXPECT_FALSE(silver.terminal_diverged);
+  EXPECT_EQ(silver.last_step, 6);  // the terminal fact's steps_done
 
   // Only gold is recovery work: admitted in a dead epoch, never terminal.
   const auto incomplete = replay.incomplete();
@@ -869,6 +845,14 @@ TEST_F(ServiceRecovery, ResumesBitwiseFromDurableCheckpoint) {
   EXPECT_EQ(result.state_hash, reference_hash(kLevel, kCase, kSteps));
   EXPECT_EQ(manager.stats().recovered, 1u);
   EXPECT_EQ(manager.stats().recovered_diverged, 0u);
+
+  // The journal holds no progress line: the store alone recorded step 4,
+  // and the readmitted fact carries it.
+  std::ifstream journal(p.journal_path());
+  for (std::string line; std::getline(journal, line);)
+    EXPECT_EQ(line.find("\"kind\":\"progress\""), std::string::npos) << line;
+  const JournalReplay replay = replay_journal(p.journal_path());
+  EXPECT_EQ(replay.sessions.at({1, 1}).last_step, 4);
 }
 
 TEST_F(ServiceRecovery, CorruptNewestGenerationFallsBackToOlder) {
@@ -971,20 +955,30 @@ TEST_F(ServiceRecovery, SigkilledSoakRecoversBitwiseWithFlightDump) {
     std::_Exit(0);
   }
 
-  // Wait for the first durable progress mark, then kill without mercy.
+  // Wait for the first checkpoint generation on disk (the store publishes
+  // by rename, so a ckpt_*.mpasckpt name is a complete generation), then
+  // kill without mercy.
+  const auto published = [&p] {
+    std::error_code ec;
+    fs::recursive_directory_iterator it(fs::path(p.dir) / "sessions", ec);
+    for (; !ec && it != fs::recursive_directory_iterator(); it.increment(ec)) {
+      const fs::path& file = it->path();
+      if (file.extension() == ".mpasckpt" &&
+          file.filename().string().rfind("ckpt_", 0) == 0)
+        return true;
+    }
+    return false;
+  };
   bool progressed = false;
   bool child_gone = false;
   int status = 0;
   for (int i = 0; i < 30000 && !progressed && !child_gone; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    std::ifstream in(p.journal_path());
-    const std::string all((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-    progressed = all.find("\"kind\":\"progress\"") != std::string::npos;
+    progressed = published();
     child_gone = ::waitpid(pid, &status, WNOHANG) != 0;
   }
   ASSERT_FALSE(child_gone) << "victim finished before the kill landed";
-  ASSERT_TRUE(progressed) << "no durable progress mark within 30s";
+  ASSERT_TRUE(progressed) << "no checkpoint generation within 30s";
   ASSERT_EQ(::kill(pid, SIGKILL), 0);
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
@@ -1053,8 +1047,8 @@ TEST(DurableOverhead, BackgroundCheckpointingStaysUnderTwoPercentOfAStep) {
   p.dir = dir.path();
   p.every = 10;
   p.keep = 3;
-  SessionCheckpointer ckpt(p, (fs::path(dir.path()) / "chain").string(), 1,
-                           "t", nullptr, nullptr);
+  SessionCheckpointer ckpt(p, (fs::path(dir.path()) / "chain").string(),
+                           nullptr);
   constexpr int kCalls = 200;
   WallTimer durable_timer;
   for (int i = 1; i <= kCalls; ++i) ckpt.on_step(i, model.fields());

@@ -223,9 +223,16 @@ TEST(ChromeTrace, JsonParsesBackWithExpectedStructure) {
   ev.dur_us = 4.0;
   rec.record(ev);
 
+  ::setenv("MPAS_BENCH_OUT", "trace \"config\" probe", 1);
   const std::string text = to_chrome_json(rec);
+  ::unsetenv("MPAS_BENCH_OUT");
   const json::Value doc = json::parse(text);  // throws on malformed JSON
   EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
+  // The configuration the run used, one string per MPAS_* variable.
+  const json::Value& config = doc.at("otherData");
+  EXPECT_EQ(config.as_object().size(), std::size(env::kVariables));
+  EXPECT_EQ(config.at("MPAS_BENCH_OUT").as_string(),
+            "trace \"config\" probe");
   const auto& events = doc.at("traceEvents").as_array();
 
   bool saw_span = false, saw_instant = false, saw_counter = false;

@@ -3,13 +3,16 @@
 // dispatch fairness, refcounted mesh sharing, and the SessionManager's
 // end-to-end guarantees — bitwise-correct admitted runs, retry with
 // modeled backoff, cooperative cancellation, modeled deadlines, and
-// per-session fault isolation under a mid-run quarantine — and that each
-// service fact is one line, byte-identical in every sink that writes it.
+// per-session fault isolation under a mid-run quarantine — that each
+// service fact is one line, byte-identical in every sink that writes it,
+// and that fold_slo judges SLOs from those lines.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -20,13 +23,14 @@
 #include "obs/json.hpp"
 #include "obs/telemetry/event_log.hpp"
 #include "obs/telemetry/flight_recorder.hpp"
-#include "obs/telemetry/slo.hpp"
 #include "service/admission.hpp"
 #include "service/fair_queue.hpp"
+#include "service/journal.hpp"
 #include "service/mesh_store.hpp"
 #include "service/request.hpp"
 #include "service/session.hpp"
 #include "service/session_manager.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace mpas::service {
@@ -127,44 +131,18 @@ TEST_F(AdmissionLadder, GuaranteeReclaimsBorrowedQueueSlot) {
   EXPECT_EQ(verdict.shed[0].id, 7u);
   EXPECT_EQ(verdict.shed[0].code, ReasonCode::ShedReclaimed);
   EXPECT_NE(verdict.shed[0].reason.find("reclaimed"), std::string::npos);
-}
 
-TEST_F(AdmissionLadder, BurnRateChangesTheVerdict) {
-  // The SLO coupling: an identical submission is rejected at burn 0 and
-  // admitted (by reclaiming a borrower) when the tenant is burning its
-  // error budget at twice the refill rate.
-  const Real unit = costs_.price(small_request());
-  policy_.capacity_modeled_s = 4 * unit;
-  AdmissionController admission(policy_, &costs_);
-  admission.set_tenant_weight("a", 1.0);
-  admission.set_tenant_weight("b", 1.0);
-
-  // a is 0.5 units over its 2-unit guarantee with one borrowed queued
-  // session; b is already at 1.5 units, so one more unit lands beyond b's
-  // guarantee and the reclaim rung normally refuses to thrash for it.
-  AdmissionInput input;
-  input.outstanding_total = 4 * unit;
-  input.outstanding_by_tenant["a"] = 2.5 * unit;
-  input.outstanding_by_tenant["b"] = 1.5 * unit;
-  input.queued.push_back({7, "a", 1, 1.5 * unit, /*borrowed=*/true, 7});
-  SessionRequest req = small_request("b");
-  req.allow_degraded = false;
-
-  const auto calm = admission.decide(req, input);
-  EXPECT_EQ(calm.action, AdmissionOutcome::Action::Reject);
-  EXPECT_EQ(calm.reason_code, ReasonCode::RejectOverload);
-
-  input.tenant_burn_rate = 3.0;  // >= slo_burn_guarantee (2.0)
-  const auto burning = admission.decide(req, input);
-  ASSERT_EQ(burning.action, AdmissionOutcome::Action::Admit);
-  EXPECT_EQ(burning.reason_code, ReasonCode::AdmitReclaimed);
-  EXPECT_NE(burning.reason.find("SLO burn-rate priority"),
-            std::string::npos);
-  ASSERT_EQ(burning.shed.size(), 1u);
-  EXPECT_EQ(burning.shed[0].id, 7u);
-  EXPECT_EQ(burning.shed[0].code, ReasonCode::ShedReclaimed);
-  EXPECT_NE(burning.shed[0].reason.find("SLO burn-rate priority"),
-            std::string::npos);
+  // The rung serves only a request that stays within its guarantee: with
+  // half a unit already outstanding, one more unit would put b beyond its
+  // share, so a's borrowed slot stays and b is refused.
+  input.outstanding_total += 0.5 * cost;
+  input.outstanding_by_tenant["b"] = 0.5 * cost;
+  SessionRequest beyond = small_request("b");
+  beyond.allow_degraded = false;
+  const auto refused = admission.decide(beyond, input);
+  EXPECT_EQ(refused.action, AdmissionOutcome::Action::Reject);
+  EXPECT_EQ(refused.reason_code, ReasonCode::RejectOverload);
+  EXPECT_TRUE(refused.shed.empty());
 }
 
 TEST_F(AdmissionLadder, PrioritySheddingEvictsLowestYoungest) {
@@ -296,6 +274,7 @@ TEST(SessionManager, AdmittedSessionsCompleteBitwiseCorrect) {
 TEST(SessionManager, TransientFaultsRetryWithBackoffThenSucceed) {
   SessionManager service(small_service(1));
   SessionRequest req = small_request();
+  const auto clean_id = service.submit(req);
   req.chaos.fail_first_attempts = 2;
   const auto id = service.submit(req);
   ASSERT_TRUE(service.drain());
@@ -304,8 +283,11 @@ TEST(SessionManager, TransientFaultsRetryWithBackoffThenSucceed) {
   EXPECT_EQ(r.state, SessionState::Completed) << r.reason;
   EXPECT_EQ(r.attempts, 3);
   EXPECT_EQ(service.stats().retries, 2u);
-  // Backoff was charged as modeled time on top of the run itself.
-  EXPECT_GT(r.modeled_seconds, r.step_modeled_seconds[0] * 4);
+  // The two backoffs, 0.05 then 0.10 modeled s, are charged on top of
+  // exactly what a clean run of the same request costs.
+  const SessionResult clean = service.result(clean_id);
+  ASSERT_EQ(clean.attempts, 1);
+  EXPECT_NEAR(r.modeled_seconds, clean.modeled_seconds + 0.05 + 0.10, 1e-12);
 }
 
 TEST(SessionManager, PersistentTransientFaultFailsAfterBudget) {
@@ -430,7 +412,7 @@ TEST(SessionManager, SaturationSharesFollowTenantWeights) {
   EXPECT_GT(service.stats().rejected, 0u);  // it really was saturated
 }
 
-// -------------------------------------------------- slo + flight recorder
+// ------------------------------------------- slo fold + flight recorder
 
 /// Every line of a text file, verbatim.
 std::vector<std::string> read_lines(const std::string& path) {
@@ -441,28 +423,80 @@ std::vector<std::string> read_lines(const std::string& path) {
   return lines;
 }
 
-TEST(SessionManager, SloTrackerFollowsSessionOutcomes) {
-  ServiceOptions opts = small_service(1);
-  SessionManager service(opts);
-  service.submit(small_request("a"));
-  SessionRequest doomed = small_request("a");
-  doomed.chaos.fail_first_attempts = 100;
-  service.submit(doomed);
-  ASSERT_TRUE(service.drain());
+/// One tenant's count in one dimension of a fold.
+void expect_count(const std::map<std::string, SloCount>& dims,
+                  const std::string& dimension, std::uint64_t ok,
+                  std::uint64_t total) {
+  const auto it = dims.find(dimension);
+  ASSERT_NE(it, dims.end()) << dimension;
+  EXPECT_EQ(it->second.ok, ok) << dimension;
+  EXPECT_EQ(it->second.total, total) << dimension;
+}
 
-  namespace telemetry = obs::telemetry;
-  const telemetry::SloTracker& slo = service.slo();
-  // Two sessions ran: one completed, one failed -> error-rate attainment
-  // is 1/2 and its budget (default target 0.95) is burning hard.
-  EXPECT_EQ(slo.samples("a", telemetry::SloDimension::ErrorRate), 2u);
-  EXPECT_DOUBLE_EQ(slo.attainment("a", telemetry::SloDimension::ErrorRate),
-                   0.5);
-  EXPECT_GT(slo.worst_burn_rate("a"), 1.0);
-  // Neither timed out, so the deadline dimension is clean.
-  EXPECT_DOUBLE_EQ(
-      slo.attainment("a", telemetry::SloDimension::DeadlineMiss), 1.0);
-  // The failure breached the error SLO and the service counted it.
-  EXPECT_GE(service.stats().slo_breaches, 1u);
+TEST(SloFold, SessionOutcomesFoldFromTheEventLog) {
+  const std::string path =
+      "test_slo_events_" + std::to_string(::getpid()) + ".jsonl";
+  auto& events = obs::telemetry::EventLog::global();
+  events.open(path);
+  {
+    SessionManager service(small_service(1));
+    service.submit(small_request("a"));
+    SessionRequest doomed = small_request("a");
+    doomed.chaos.fail_first_attempts = 100;
+    service.submit(doomed);
+    ASSERT_TRUE(service.drain());
+  }
+  events.close();
+  std::vector<obs::json::Value> facts;
+  for (const std::string& line : read_lines(path))
+    facts.push_back(obs::json::parse(line));
+  std::remove(path.c_str());
+
+  // A budget no decision misses, even under a sanitizer: this test checks
+  // which facts count; the synthetic one below checks the budget.
+  const SloFold fold = fold_slo(facts, 1e9);
+  ASSERT_EQ(fold.size(), 1u);
+  const auto& a = fold.at("a");
+  EXPECT_EQ(a.size(), 4u);
+  expect_count(a, "errors", 1, 2);  // one completed, one failed
+  expect_count(a, "deadline", 2, 2);
+  expect_count(a, "fidelity", 2, 2);
+  expect_count(a, "admission_latency", 2, 2);
+  EXPECT_DOUBLE_EQ(a.at("errors").attainment(), 0.5);
+}
+
+TEST(SloFold, EachFactCountsOnlyInItsDimension) {
+  using obs::telemetry::WideEvent;
+  const auto line = [](const WideEvent& fact) {
+    return obs::json::parse(obs::telemetry::to_jsonl(fact));
+  };
+  const auto terminal = [&line](std::uint64_t id, const char* state) {
+    return line(WideEvent("terminal", "t", id).add("state", state));
+  };
+  const std::vector<obs::json::Value> facts = {
+      line(WideEvent("admit", "t", 1).add("latency_us", 10.0)),
+      line(WideEvent("admit_degraded", "t", 2).add("latency_us", 10.0)),
+      line(WideEvent("reject", "t", 3).add("latency_us", 2000.0)),
+      // A shutdown reject was never timed: no latency sample.
+      line(WideEvent("reject", "t", 4).add("code", "reject_shutdown")),
+      terminal(1, "completed"),
+      terminal(2, "failed"),
+      terminal(5, "timed-out"),
+      terminal(6, "cancelled"),
+      // Shed and rejected sessions never ran.
+      terminal(7, "shed"),
+      terminal(3, "rejected"),
+      line(WideEvent("dispatch", "u", 8).add("worker", 0)),
+  };
+  const SloFold fold = fold_slo(facts, 1000.0);
+  ASSERT_EQ(fold.size(), 1u);  // "u" has no SLO fact
+  const auto& t = fold.at("t");
+  expect_count(t, "admission_latency", 2, 3);  // 2000 us > 1000 us budget
+  expect_count(t, "fidelity", 1, 2);           // admit_degraded misses
+  expect_count(t, "deadline", 3, 4);           // timed-out misses
+  expect_count(t, "errors", 3, 4);             // only failed misses
+  EXPECT_DOUBLE_EQ(t.at("fidelity").attainment(), 0.5);
+  EXPECT_DOUBLE_EQ(SloCount{}.attainment(), 1.0);
 }
 
 TEST(SessionManager, FailureDumpsTheFlightRecorder) {
@@ -470,13 +504,17 @@ TEST(SessionManager, FailureDumpsTheFlightRecorder) {
   std::filesystem::remove_all(dir);
   ServiceOptions opts = small_service(1);
   opts.flight_dump = obs::telemetry::FlightDumpPolicy::parse(dir);
+  // A configuration the dump must carry: read when the dump is written.
+  ::setenv("MPAS_CHECKPOINT_KEEP", "7", 1);
   SessionManager service(opts);
 
   const auto ok_id = service.submit(small_request("fine"));
   SessionRequest doomed = small_request("doomed");
   doomed.chaos.fail_first_attempts = 100;
   const auto bad_id = service.submit(doomed);
-  ASSERT_TRUE(service.drain());
+  const bool drained = service.drain();
+  ::unsetenv("MPAS_CHECKPOINT_KEEP");
+  ASSERT_TRUE(drained);
   ASSERT_EQ(service.result(ok_id).state, SessionState::Completed);
   ASSERT_EQ(service.result(bad_id).state, SessionState::Failed);
 
@@ -506,6 +544,10 @@ TEST(SessionManager, FailureDumpsTheFlightRecorder) {
   EXPECT_DOUBLE_EQ(head.at("attrs").at("dropped").as_number(), 0);
   EXPECT_DOUBLE_EQ(head.at("attrs").at("recorded").as_number(),
                    static_cast<double>(lines.size() - 1));
+  // ...and the configuration the run used, one attr per MPAS_* variable.
+  for (const env::Variable& var : env::kVariables)
+    EXPECT_TRUE(head.at("attrs").has(var.name)) << var.name;
+  EXPECT_EQ(head.at("attrs").at("MPAS_CHECKPOINT_KEEP").as_string(), "7");
   // The box replays the session's fate: admission, dispatch, the retry
   // storm, and the terminal verdict.
   std::map<std::string, int> kinds;

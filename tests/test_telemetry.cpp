@@ -1,5 +1,4 @@
-// Telemetry layer contract: SLO rolling-window and burn-rate arithmetic,
-// the flight recorder's ring semantics and
+// Telemetry layer contract: the flight recorder's ring semantics and
 // JSONL dump (parsed back with the in-repo reader), the MPAS_FLIGHT_DUMP
 // grammar, the wide-event JSONL sink and its typed attrs, and the
 // steady-state overhead budget of one service fact recorded through
@@ -18,7 +17,6 @@
 #include "obs/json.hpp"
 #include "obs/telemetry/event_log.hpp"
 #include "obs/telemetry/flight_recorder.hpp"
-#include "obs/telemetry/slo.hpp"
 #include "obs/trace.hpp"
 #include "service/facts.hpp"
 #include "sw/model.hpp"
@@ -27,86 +25,6 @@
 
 namespace mpas::obs::telemetry {
 namespace {
-
-SloPolicy tight_policy(std::size_t window, Real target) {
-  SloPolicy policy;
-  policy.window = window;
-  policy.target.fill(target);
-  return policy;
-}
-
-// ------------------------------------------------------------ slo tracker
-
-TEST(SloTracker, EmptyWindowIsPerfect) {
-  const SloTracker tracker;
-  EXPECT_EQ(tracker.attainment("ghost", SloDimension::DeadlineMiss), 1.0);
-  EXPECT_EQ(tracker.burn_rate("ghost", SloDimension::DeadlineMiss), 0.0);
-  EXPECT_EQ(tracker.worst_burn_rate("ghost"), 0.0);
-  EXPECT_EQ(tracker.samples("ghost", SloDimension::DeadlineMiss), 0u);
-  EXPECT_TRUE(tracker.tenants().empty());
-}
-
-TEST(SloTracker, AttainmentAndBurnRateArithmetic) {
-  // Window 4, target 0.75: the error budget is 0.25, so each failed
-  // sample in a full window is exactly one budget-unit of burn.
-  SloTracker tracker(tight_policy(4, 0.75));
-  const auto d = SloDimension::ErrorRate;
-
-  tracker.record("a", d, true);
-  tracker.record("a", d, true);
-  tracker.record("a", d, false);
-  const SloSample at_three = tracker.record("a", d, true);
-  // 3 ok of 4: attainment == target, burn == budget refill rate.
-  EXPECT_DOUBLE_EQ(at_three.attainment, 0.75);
-  EXPECT_DOUBLE_EQ(at_three.burn_rate, 1.0);
-  EXPECT_FALSE(at_three.breach);  // breach is strictly-below target
-
-  // The window is full; this failure evicts the oldest (ok) sample.
-  const SloSample breached = tracker.record("a", d, false);
-  EXPECT_DOUBLE_EQ(breached.attainment, 0.5);
-  EXPECT_DOUBLE_EQ(breached.burn_rate, 2.0);
-  EXPECT_TRUE(breached.breach);
-
-  EXPECT_DOUBLE_EQ(tracker.attainment("a", d), 0.5);
-  EXPECT_DOUBLE_EQ(tracker.burn_rate("a", d), 2.0);
-  EXPECT_EQ(tracker.samples("a", d), 4u);
-  // The other dimensions are untouched, so the worst burn is this one.
-  EXPECT_DOUBLE_EQ(tracker.worst_burn_rate("a"), 2.0);
-  ASSERT_EQ(tracker.tenants().size(), 1u);
-  EXPECT_EQ(tracker.tenants()[0], "a");
-}
-
-TEST(SloTracker, WindowEvictsOldestOutcome) {
-  SloTracker tracker(tight_policy(2, 0.5));
-  const auto d = SloDimension::AdmissionLatency;
-  tracker.record("a", d, false);
-  tracker.record("a", d, true);
-  // The initial failure falls out of the 2-sample window.
-  tracker.record("a", d, true);
-  EXPECT_DOUBLE_EQ(tracker.attainment("a", d), 1.0);
-  EXPECT_DOUBLE_EQ(tracker.burn_rate("a", d), 0.0);
-  EXPECT_EQ(tracker.samples("a", d), 2u);
-}
-
-TEST(SloTracker, DimensionsAndTenantsAreIndependent) {
-  SloTracker tracker(tight_policy(4, 0.75));
-  tracker.record("a", SloDimension::DeadlineMiss, false);
-  tracker.record("b", SloDimension::DeadlineMiss, true);
-  EXPECT_DOUBLE_EQ(tracker.attainment("a", SloDimension::DeadlineMiss), 0.0);
-  EXPECT_DOUBLE_EQ(tracker.attainment("a", SloDimension::ErrorRate), 1.0);
-  EXPECT_DOUBLE_EQ(tracker.attainment("b", SloDimension::DeadlineMiss), 1.0);
-  EXPECT_GT(tracker.worst_burn_rate("a"), 0.0);
-  EXPECT_DOUBLE_EQ(tracker.worst_burn_rate("b"), 0.0);
-}
-
-TEST(SloPolicy, DimensionNamesAreStable) {
-  // obs_query re-derives these offline; the names are a schema.
-  EXPECT_STREQ(to_string(SloDimension::AdmissionLatency),
-               "admission_latency");
-  EXPECT_STREQ(to_string(SloDimension::DeadlineMiss), "deadline");
-  EXPECT_STREQ(to_string(SloDimension::DegradedFidelity), "fidelity");
-  EXPECT_STREQ(to_string(SloDimension::ErrorRate), "errors");
-}
 
 // -------------------------------------------------------- flight recorder
 

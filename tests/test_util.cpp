@@ -1,6 +1,6 @@
 // Unit tests for the util substrate: aligned storage, 2-D arrays, spherical
 // geometry, config parsing, the declared MPAS_* environment, log levels,
-// and table rendering.
+// table rendering and the FNV-1a hash.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +16,7 @@
 #include "util/config.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
 #include "util/types.hpp"
@@ -36,6 +37,15 @@ TEST(AlignedVector, BehavesLikeVector) {
   for (int i = 0; i < 100; ++i) v.push_back(i);
   EXPECT_EQ(v.size(), 100u);
   EXPECT_EQ(v[42], 42);
+}
+
+TEST(Fnv1a, StandardVectorsAndRunningState) {
+  EXPECT_EQ(util::fnv1a(util::kFnvOffset, "", 0), util::kFnvOffset);
+  EXPECT_EQ(util::fnv1a(util::kFnvOffset, "a", 1), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(util::fnv1a(util::kFnvOffset, "foobar", 6), 0x85944171f73967e8ull);
+  // Folding in pieces through the running state equals folding whole.
+  EXPECT_EQ(util::fnv1a(util::fnv1a(util::kFnvOffset, "foo", 3), "bar", 3),
+            util::fnv1a(util::kFnvOffset, "foobar", 6));
 }
 
 TEST(Array2D, IndexingAndRows) {

@@ -2,14 +2,18 @@
 # The kill -9 drill behind the CI crash-recovery job.
 #
 # Launches examples/crash_recovery as a durable victim, waits for its
-# first durable progress mark to hit the journal, SIGKILLs it mid-run,
-# and then asserts the restarted service recovers: the incomplete session
-# is re-admitted, resumed from its newest intact checkpoint generation,
-# and lands bitwise-identical to the uninterrupted reference trajectory.
+# first checkpoint generation (a ckpt_*.mpasckpt under sessions/; the
+# store publishes by rename, so the name means a complete file), SIGKILLs
+# it mid-run, and then asserts the restarted service recovers: the
+# incomplete session is re-admitted, resumed from its newest intact
+# checkpoint generation, and lands bitwise-identical to the uninterrupted
+# reference trajectory.
 # Finally audits the journal offline with obs_query mode=recovery (which
 # must refuse a require_kind= assertion it does not evaluate), reads every
 # flight dump with obs_query (each must parse and hold its session's
-# terminal fact), and requires one dump that records a recovery fact.
+# terminal fact), requires one dump that records a recovery fact, and
+# checks that the journal holds no progress line: the checkpoint store is
+# the one record of durable progress.
 #
 # Usage: tools/crash_recovery_test.sh <build_dir> <work_dir>
 set -euo pipefail
@@ -30,22 +34,26 @@ echo "== victim: durable run, to be SIGKILLed mid-flight"
 "$BUILD/examples/crash_recovery" mode=run steps=6000 level=2 &
 VICTIM=$!
 
-# Wait for the first durable progress mark (checkpoint generation on disk
-# AND journaled), then kill without mercy. A victim that finishes before
-# the kill means the run was far too short — fail loudly.
+# Wait for the first checkpoint generation on disk, then kill without
+# mercy. A victim that finishes before the kill means the run was far too
+# short — fail loudly.
+published() {
+  [ -n "$(find "$CKPT/sessions" -name 'ckpt_*.mpasckpt' -print -quit \
+    2> /dev/null)" ]
+}
 for _ in $(seq 1 3000); do
-  if grep -q '"kind":"progress"' "$CKPT/journal.jsonl" 2> /dev/null; then
+  if published; then
     break
   fi
   if ! kill -0 "$VICTIM" 2> /dev/null; then
-    echo "FAIL: victim exited before any durable progress" >&2
+    echo "FAIL: victim exited before any checkpoint generation" >&2
     wait "$VICTIM" || true
     exit 1
   fi
   sleep 0.01
 done
-grep -q '"kind":"progress"' "$CKPT/journal.jsonl" || {
-  echo "FAIL: no durable progress mark within 30s" >&2
+published || {
+  echo "FAIL: no checkpoint generation within 30s" >&2
   kill -9 "$VICTIM" 2> /dev/null || true
   exit 1
 }
@@ -88,6 +96,12 @@ for f in "$FLIGHT"/*.jsonl; do
 done
 if [ "$DUMPED" -ne 1 ]; then
   echo "FAIL: no flight dump records a recovery event" >&2
+  exit 1
+fi
+
+echo "== journal: durable progress lives in the store, not the journal"
+if grep -q '"kind":"progress"' "$CKPT/journal.jsonl"; then
+  echo "FAIL: the journal holds a progress line" >&2
   exit 1
 fi
 
