@@ -45,12 +45,21 @@ int rank_pool_workers(int num_ranks) {
   return std::min(num_ranks, cores) - 1;
 }
 
+/// Silent data corruption of one state word. An exponent `bit` (52-62)
+/// flips the highest *clear* exponent bit at or below it, so the damage
+/// grows the magnitude: XOR-ing a set bit 62 would shrink any |x| >= 2 to
+/// about 1e-308, which a U word can hide under the energy tolerance. (Only
+/// when bits 52..bit are all set, bit 52 flips.) Sign and mantissa bits
+/// flip as given.
 void flip_state_bit(std::span<Real> data, std::uint64_t word,
                     std::uint32_t bit) {
   if (data.empty()) return;
   Real& target = data[word % data.size()];
   std::uint64_t raw;
   std::memcpy(&raw, &target, sizeof(raw));
+  constexpr std::uint32_t kLowestExponentBit = 52;
+  if (bit < 63)
+    while (bit > kLowestExponentBit && ((raw >> bit) & 1u) != 0) --bit;
   raw ^= std::uint64_t{1} << bit;
   std::memcpy(&target, &raw, sizeof(raw));
 }

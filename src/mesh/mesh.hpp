@@ -132,6 +132,21 @@ class VoronoiMesh {
 VoronoiMesh build_voronoi_mesh(const TriMesh& tri,
                                Real sphere_radius = constants::kEarthRadius);
 
+/// Renumber the cells of a global mesh for memory locality. `subdivide`
+/// numbers triangles (the Voronoi vertices) as a quadtree, and
+/// build_voronoi_mesh numbers edges in first-touch order of those
+/// triangles, but cells keep the generator order: each subdivision
+/// generation is one block, so most cell neighbours sit pages apart. This
+/// walks the vertices in index order and gives each cell the next free
+/// number the first time cells_on_vertex touches it. Only cells move: the
+/// cell-indexed arrays are permuted and the cell ids in cells_on_cell,
+/// cells_on_edge and cells_on_vertex remapped. No value is recomputed, and
+/// neighbour order, edge orientation and every weight stay bit for bit, so
+/// a step on the renumbered mesh is the permuted step on the original.
+/// Returns the order: element n is the original id of the cell now
+/// numbered n.
+std::vector<Index> renumber_cells(VoronoiMesh& mesh);
+
 /// Resolution label used by the paper for a given subdivision level
 /// (6 -> "120-km", 7 -> "60-km", 8 -> "30-km", 9 -> "15-km").
 std::string resolution_label_for_level(int level);

@@ -13,6 +13,9 @@
 // == 4*pi*R^2 to rounding error.
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
+#include <type_traits>
 #include <unordered_map>
 
 #include "mesh/mesh.hpp"
@@ -291,6 +294,69 @@ VoronoiMesh build_voronoi_mesh(const TriMesh& tri, Real sphere_radius) {
   MPAS_CHECK(tri.num_points() >= 12);
   MPAS_CHECK(sphere_radius > 0);
   return build_voronoimesh_impl(tri, sphere_radius);
+}
+
+namespace {
+
+/// Rewrite the `width`-wide rows of a cell-indexed array so row n holds the
+/// old row order[n]: one gather into `scratch`, one copy back.
+template <class T>
+void permute_cell_rows(T* rows, std::size_t width,
+                       const std::vector<Index>& order,
+                       std::vector<std::byte>& scratch) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const std::size_t row_bytes = width * sizeof(T);
+  MPAS_CHECK(row_bytes * order.size() <= scratch.size());
+  std::byte* out = scratch.data();
+  for (const Index old : order) {
+    std::memcpy(out, rows + static_cast<std::size_t>(old) * width, row_bytes);
+    out += row_bytes;
+  }
+  std::memcpy(rows, scratch.data(), row_bytes * order.size());
+}
+
+}  // namespace
+
+std::vector<Index> renumber_cells(VoronoiMesh& m) {
+  MPAS_CHECK_MSG(m.global_cell_id.empty(),
+                 "renumber_cells works on a global mesh, not a rank view");
+  const auto n = static_cast<std::size_t>(m.num_cells);
+  std::vector<Index> new_id(n, kInvalidIndex);
+  std::vector<Index> order;
+  order.reserve(n);
+  for (Index v = 0; v < m.num_vertices; ++v)
+    for (const Index c : m.cells_on_vertex.row(v))
+      if (new_id[static_cast<std::size_t>(c)] == kInvalidIndex) {
+        new_id[static_cast<std::size_t>(c)] = static_cast<Index>(order.size());
+        order.push_back(c);
+      }
+  MPAS_CHECK_MSG(order.size() == n, "a cell touches no vertex");
+
+  // Sized for the widest rows: kMaxEdges Reals per cell.
+  std::vector<std::byte> scratch(n * VoronoiMesh::kMaxEdges * sizeof(Real));
+  const auto permute = [&](auto& cells, std::size_t width) {
+    MPAS_CHECK(cells.size() == n * width);
+    permute_cell_rows(cells.data(), width, order, scratch);
+  };
+  permute(m.x_cell, 1);
+  permute(m.n_edges_on_cell, 1);
+  for (Array2D<Index>* a :
+       {&m.edges_on_cell, &m.cells_on_cell, &m.vertices_on_cell})
+    permute(*a, static_cast<std::size_t>(a->cols()));
+  for (Array2D<Real>* a : {&m.edge_sign_on_cell, &m.kite_areas_on_cell})
+    permute(*a, static_cast<std::size_t>(a->cols()));
+  for (AlignedVector<Real>* a :
+       {&m.area_cell, &m.f_cell, &m.lat_cell, &m.lon_cell})
+    permute(*a, 1);
+
+  for (Array2D<Index>* a :
+       {&m.cells_on_cell, &m.cells_on_edge, &m.cells_on_vertex}) {
+    Index* ids = a->data();
+    for (std::size_t i = 0; i < a->size(); ++i)
+      if (ids[i] != kInvalidIndex)
+        ids[i] = new_id[static_cast<std::size_t>(ids[i])];
+  }
+  return order;
 }
 
 }  // namespace mpas::mesh

@@ -19,6 +19,7 @@ VoronoiMesh build_icosahedral_voronoi_mesh(int level, Real sphere_radius,
   if (scvt_iterations > 0) scvt_relax(tri, scvt_iterations);
   VoronoiMesh m = build_voronoi_mesh(tri, sphere_radius);
   m.subdivision_level = level;
+  renumber_cells(m);
   return m;
 }
 

@@ -20,7 +20,9 @@ namespace mpas::mesh {
 std::shared_ptr<const VoronoiMesh> get_global_mesh(int level);
 
 /// Build a fresh mesh without touching the cache (used by tests that need
-/// mutation or non-standard radii).
+/// mutation or non-standard radii). Its cells are in the locality order of
+/// renumber_cells; build_voronoi_mesh(make_icosahedral_grid(level)) gives
+/// the generation order.
 VoronoiMesh build_icosahedral_voronoi_mesh(
     int level, Real sphere_radius = constants::kEarthRadius,
     int scvt_iterations = 0);

@@ -13,8 +13,11 @@ namespace {
 constexpr char kMagic[8] = {'M', 'P', 'A', 'S', 'M', 'S', 'H', '1'};
 // Version 5 added the FNV-1a payload checksum after the version word, so a
 // bit-flipped or truncated cache file is detected on load instead of
-// producing silently wrong connectivity.
-constexpr std::uint32_t kVersion = 5;
+// producing silently wrong connectivity. Version 6 marks the locality cell
+// order (renumber_cells): the arrays are stored in mesh order, so a file
+// written in the old generation order must not load beside freshly built
+// meshes.
+constexpr std::uint32_t kVersion = 6;
 
 /// Streambuf tee that FNV-1a-hashes every byte written through it.
 class HashingOutBuf : public std::streambuf {

@@ -1,9 +1,16 @@
 #include "mesh/mesh_quality.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <sstream>
 
 namespace mpas::mesh {
+
+namespace {
+
+constexpr Index kFarNeighbourGap = 512;  // one 4 KiB page of doubles
+
+}  // namespace
 
 MeshQuality compute_quality(const VoronoiMesh& m) {
   MeshQuality q;
@@ -19,6 +26,7 @@ MeshQuality compute_quality(const VoronoiMesh& m) {
   q.dc_min = q.dc_max = m.dc_edge[0];
   q.dv_min = q.dv_max = m.dv_edge[0];
   Real dc_sum = 0, dv_sum = 0;
+  Index far = 0;
   for (Index e = 0; e < m.num_edges; ++e) {
     q.dc_min = std::min(q.dc_min, m.dc_edge[e]);
     q.dc_max = std::max(q.dc_max, m.dc_edge[e]);
@@ -26,7 +34,11 @@ MeshQuality compute_quality(const VoronoiMesh& m) {
     q.dv_max = std::max(q.dv_max, m.dv_edge[e]);
     dc_sum += m.dc_edge[e];
     dv_sum += m.dv_edge[e];
+    if (std::abs(m.cells_on_edge(e, 1) - m.cells_on_edge(e, 0)) >
+        kFarNeighbourGap)
+      ++far;
   }
+  q.far_neighbour_share = static_cast<Real>(far) / m.num_edges;
   q.dc_mean = dc_sum / m.num_edges;
   q.dv_mean = dv_sum / m.num_edges;
   q.resolution_km = q.dc_mean / 1000.0;
@@ -45,7 +57,8 @@ std::string MeshQuality::summary() const {
      << num_edges << " edges, " << num_vertices << " vertices; "
      << "mean spacing " << resolution_km << " km, dc ratio "
      << (dc_min > 0 ? dc_max / dc_min : 0) << ", area ratio "
-     << (area_min > 0 ? area_max / area_min : 0);
+     << (area_min > 0 ? area_max / area_min : 0) << ", far neighbours "
+     << far_neighbour_share;
   return os.str();
 }
 

@@ -18,6 +18,10 @@ struct MeshQuality {
   Real dv_min = 0, dv_max = 0, dv_mean = 0;   // vertex spacing (m)
   Real area_min = 0, area_max = 0;            // cell areas (m^2)
   Real resolution_km = 0;                     // mean dcEdge in km
+  /// Memory locality: the share of cells_on_edge pairs whose ids lie more
+  /// than 512 apart (one 4 KiB page of doubles), so a gather over the edge
+  /// touches two pages of a cell field.
+  Real far_neighbour_share = 0;
 
   [[nodiscard]] std::string summary() const;
 };

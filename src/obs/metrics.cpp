@@ -250,6 +250,26 @@ void MetricsRegistry::reset() {
   for (auto& [name, h] : histograms_) h.reset();
 }
 
+namespace {
+
+/// Erase the keys of a name-sorted map that start with `prefix`: they form
+/// one contiguous range from lower_bound(prefix).
+template <class Map>
+void erase_names_under(Map& metrics, const std::string& prefix) {
+  auto it = metrics.lower_bound(prefix);
+  while (it != metrics.end() && it->first.starts_with(prefix))
+    it = metrics.erase(it);
+}
+
+}  // namespace
+
+void MetricsRegistry::erase_prefix(const std::string& prefix) {
+  util::LockGuard lock(mutex_);
+  erase_names_under(counters_, prefix);
+  erase_names_under(gauges_, prefix);
+  erase_names_under(histograms_, prefix);
+}
+
 // ---- environment/file session ---------------------------------------------
 
 void start_metrics_file(std::string path) {

@@ -148,7 +148,8 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Find-or-create; returned pointers are stable for the registry's life.
+  /// Find-or-create; returned pointers are stable until erase_prefix
+  /// removes the name.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
@@ -174,6 +175,12 @@ class MetricsRegistry {
 
   /// Zero every metric (registrations survive, pointers stay valid).
   void reset();
+
+  /// Remove every counter, gauge and histogram whose name starts with
+  /// `prefix` (a finished session's scoped series). References handed out
+  /// for those names dangle afterwards, so call it only once nothing
+  /// records into them.
+  void erase_prefix(const std::string& prefix);
 
  private:
   mutable util::Mutex mutex_{"obs.metrics", util::lockrank::kMetrics};

@@ -29,7 +29,11 @@
 
 namespace mpas::resilience::durable {
 
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Slots hold arrays in mesh order, so a change of the mesh's cell order
+/// bumps this too: version 2 is the locality order of renumber_cells. An
+/// older checkpoint fails closed and the store falls back, as it does for
+/// a damaged one.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// One saved array: whatever the producer indexes by (sw/state_codec uses
 /// the rank and FieldId slots).

@@ -97,8 +97,11 @@ struct FaultSpec {
   Real probability = 0;
 
   // Corruption detail: which payload word (modulo length) and bit to flip.
+  // A StateCorrupt at an exponent bit flips the highest clear exponent bit
+  // at or below it, so the value grows whatever it holds: loud, detectable
+  // damage.
   std::uint64_t word = 0;
-  std::uint32_t bit = 62;  // an exponent bit: loud, detectable damage
+  std::uint32_t bit = 62;
 
   // Modeled time a RankStall costs.
   Real stall_seconds = 1e-3;

@@ -68,6 +68,10 @@ std::uint64_t reference_hash(int mesh_level, int test_case, int steps) {
   return hash;
 }
 
+std::string session_metric_scope(std::uint64_t id) {
+  return "service.session" + std::to_string(id) + ".";
+}
+
 void run_session(const SessionRunContext& ctx, SessionResult& result) {
   MPAS_CHECK(ctx.request != nullptr && ctx.mesh != nullptr);
   const SessionRequest& req = *ctx.request;
@@ -89,7 +93,7 @@ void run_session(const SessionRunContext& ctx, SessionResult& result) {
   resilience::health::SelfHealingHybrid::Options hopts;
   hopts.sim = ctx.sim;
   hopts.threads = req.threads;
-  hopts.metric_scope = "service.session" + std::to_string(ctx.id) + ".";
+  hopts.metric_scope = session_metric_scope(ctx.id);
   resilience::health::SelfHealingHybrid sut(*ctx.mesh,
                                             params_for(*tc, *ctx.mesh), hopts);
   // Black-box feed: every health transition this session's monitor sees

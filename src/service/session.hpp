@@ -3,11 +3,13 @@
 // checks at every step boundary, and hash the final state for the
 // bitwise-correctness audit. All service metrics the session publishes
 // are scoped "service.session<id>." so co-resident sessions stay
-// distinguishable in the process-global registry.
+// distinguishable in the process-global registry; the manager erases the
+// scope once the session is terminal.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 
 #include "core/schedule.hpp"
 #include "machine/machine_model.hpp"
@@ -21,6 +23,10 @@ namespace mpas::service {
 
 struct ResumeState;
 class SessionCheckpointer;
+
+/// "service.session<id>.": the prefix of every metric the session's
+/// self-healing hybrid publishes.
+std::string session_metric_scope(std::uint64_t id);
 
 /// FNV-1a over the H and U field bytes — the session's solution digest.
 std::uint64_t state_hash(const sw::FieldStore& fields);

@@ -385,6 +385,11 @@ void SessionManager::after_terminal(Record& rec) {
     rec.durable->retire();
     rec.durable.reset();
   }
+  // Every attempt's hybrid died with its run_session frame, so nothing
+  // records into the session's scoped series any more: drop them, or the
+  // registry grows with every session the manager has run.
+  obs::MetricsRegistry::global().erase_prefix(
+      session_metric_scope(rec.result.id));
   flush_flight_dumps();
 }
 

@@ -29,6 +29,7 @@
 
 #include "mesh/mesh_cache.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/telemetry/event_log.hpp"
 #include "resilience/durable/format.hpp"
 #include "resilience/durable/store.hpp"
@@ -46,6 +47,7 @@
 #include "sw/state_codec.hpp"
 #include "sw/testcases.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 #include "util/timer.hpp"
 
 #if defined(__has_feature)
@@ -135,6 +137,22 @@ void flip_byte(const std::string& path, std::size_t offset,
   f.write(&byte, 1);
 }
 
+/// The last checkpoint format that stored slots in the generation cell
+/// order, before the locality order of mesh::renumber_cells.
+constexpr std::uint32_t kGenerationOrderFormat = 1;
+
+/// The image's bytes as another format version would write them: the
+/// version word (after the 8-byte magic) replaced and the header checksum,
+/// an FNV-1a over the 32 bytes from the version word on, recomputed. Only
+/// the version can then reject the file.
+std::vector<std::uint8_t> with_version(std::vector<std::uint8_t> bytes,
+                                       std::uint32_t version) {
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  const std::uint64_t crc = util::fnv1a(util::kFnvOffset, bytes.data() + 8, 32);
+  std::memcpy(bytes.data() + 40, &crc, sizeof(crc));
+  return bytes;
+}
+
 // ------------------------------------------------------------------ format
 
 TEST(DurableFormat, EncodeDecodeRoundTripsBitwise) {
@@ -191,6 +209,23 @@ TEST(DurableFormat, FabricatedCountsFailBeforeAllocation) {
   EXPECT_THROW(decode_checkpoint(bytes), Error);
 }
 
+TEST(DurableFormat, GenerationOrderVersionFailsClosed) {
+  // Slots hold arrays in mesh order; a checkpoint written before the
+  // locality cell order would restore every cell field permuted.
+  EXPECT_NO_THROW(decode_checkpoint(
+      with_version(flatten(small_image()), kFormatVersion)));
+  try {
+    (void)decode_checkpoint(
+        with_version(flatten(small_image()), kGenerationOrderFormat));
+    FAIL() << "a generation-order checkpoint decoded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "version 1, expected " + std::to_string(kFormatVersion)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(DurableFormat, SlotSeqBindsStepRankAndSlot) {
   // A chunk transplanted from another (step, rank, slot) position must not
   // verify: the checksum seed differs in every coordinate.
@@ -242,6 +277,31 @@ TEST(DurableStore, FallsBackAcrossDamagedGenerations) {
   // Rot everything: no generation decodes, load reports none.
   flip_byte(generation_path(store, 1), 60);
   EXPECT_FALSE(store.load_latest().has_value());
+}
+
+TEST(DurableStore, GenerationOrderCheckpointFallsBack) {
+  // A store written before a change of the mesh's cell order holds only
+  // older-version generations: load_latest falls back past each one and
+  // finds none, so a recovered session reruns from step 0.
+  TempDir dir("old_version");
+  DurableStore store({dir.path(), 3, nullptr});
+  store.publish(small_image(10));
+  {
+    const std::string path = generation_path(store, 1);
+    std::ifstream in(path, std::ios::binary);
+    std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                    std::istreambuf_iterator<char>());
+    in.close();
+    bytes = with_version(std::move(bytes), kGenerationOrderFormat);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  const obs::Counter& fallbacks =
+      obs::MetricsRegistry::global().counter("resilience.durable.fallbacks");
+  const std::uint64_t before = fallbacks.value();
+  EXPECT_FALSE(store.load_latest().has_value());
+  EXPECT_EQ(fallbacks.value(), before + 1);
 }
 
 // Store-level fuzz corpus: with two generations on disk, a newest

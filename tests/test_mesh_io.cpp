@@ -3,6 +3,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -11,6 +12,7 @@
 
 #include "mesh/mesh_cache.hpp"
 #include "mesh/mesh_io.hpp"
+#include "mesh/trimesh.hpp"
 #include "util/error.hpp"
 
 namespace mpas::mesh {
@@ -184,6 +186,38 @@ TEST_F(MeshCacheCorruption, BitFlippedCacheFileRegenerates) {
   ASSERT_NE(mesh, nullptr);
   EXPECT_EQ(mesh->num_cells, m.num_cells);
   mesh->validate();
+}
+
+TEST_F(MeshCacheCorruption, GenerationOrderCacheFileRegenerates) {
+  // A version-5 file holds the cells in generation order. Its arrays are
+  // consistent and its checksum matches, so only the version word can keep
+  // it from loading beside freshly built, renumbered meshes.
+  VoronoiMesh old = build_voronoi_mesh(make_icosahedral_grid(3));
+  old.subdivision_level = 3;
+  const std::string path = cache_file(3);
+  save_mesh(old, path);
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(8);  // the version word follows the 8-byte magic
+    const std::uint32_t version = 5;
+    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  }
+  try {
+    (void)load_mesh(path);
+    FAIL() << "a version-5 mesh file loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("mesh file version 5, expected 6"),
+              std::string::npos)
+        << e.what();
+  }
+
+  const auto mesh = get_global_mesh(3);  // no other test here memoizes 3
+  ASSERT_NE(mesh, nullptr);
+  EXPECT_EQ(mesh->cells_on_edge,
+            build_icosahedral_voronoi_mesh(3).cells_on_edge);
+  EXPECT_FALSE(mesh->cells_on_edge == old.cells_on_edge);
+  // The stale file was replaced by one in the current format.
+  EXPECT_EQ(load_mesh(path).cells_on_edge, mesh->cells_on_edge);
 }
 
 TEST(MeshIo, TruncatedFileThrows) {

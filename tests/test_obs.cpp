@@ -170,6 +170,26 @@ TEST(Histogram, RecordsCountSumAndQuantiles) {
   EXPECT_DOUBLE_EQ(h.quantile_lower_bound(0.5), 0.0);
 }
 
+TEST(MetricsRegistry, ErasePrefixRemovesOneScopeOfEveryKind) {
+  MetricsRegistry reg;
+  reg.counter("service.session1.transitions").add(3);
+  reg.gauge("service.session1.state.accel").set(2);
+  reg.histogram("service.session1.step_us").record(10);
+  reg.counter("service.session12.transitions").add(1);
+  reg.gauge("service.sessions.admitted").set(5);
+  reg.counter("service.session0").add(1);  // sorts just before the scope
+
+  reg.erase_prefix("service.session1.");
+  EXPECT_FALSE(reg.contains("service.session1.transitions"));
+  EXPECT_FALSE(reg.contains("service.session1.state.accel"));
+  EXPECT_FALSE(reg.contains("service.session1.step_us"));
+  EXPECT_EQ(reg.counter("service.session12.transitions").value(), 1u);
+  EXPECT_EQ(reg.gauge("service.sessions.admitted").value(), 5);
+  EXPECT_EQ(reg.counter("service.session0").value(), 1u);
+  // A name recorded again after the erase starts from zero.
+  EXPECT_EQ(reg.counter("service.session1.transitions").value(), 0u);
+}
+
 TEST(MetricsRegistry, FindOrCreateIsPointerStable) {
   MetricsRegistry reg;
   Counter& c = reg.counter("events");

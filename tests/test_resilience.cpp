@@ -7,6 +7,8 @@
 // image (tests/test_durable.cpp covers its round trip).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -670,6 +672,46 @@ TEST_F(ResilientRun, RollbackUnderTracerAndDiffusionLandsBitwise) {
       expect_bitwise_equal(d->gather_global(f), truth->gather_global(f),
                            sw::field_info(f).name);
   }
+}
+
+TEST_F(ResilientRun, DefaultSdcOnALargeVelocityIsCaught) {
+  // The default SDC (bit 62, the top exponent bit) aimed at an owned U word
+  // with |u| >= 2, whose bit 62 is already set. XOR-ing it would shrink the
+  // word to about 1e-308, an energy drift under the tolerance, and the run
+  // would silently end on a wrong state. The flip must grow the value, so
+  // the health check right after the step catches it, before the checkpoint
+  // at step 4 can capture it, and one rollback lands bitwise.
+  constexpr std::int64_t kFaultStep = 3;
+  const auto truth = fault_free_run(mesh, kRanks, *tc, params, kSteps);
+
+  // Rank 0's owned U right after step kFaultStep, where the fault fires.
+  auto probe = make_distributed(mesh, kRanks, *tc, params);
+  probe->run(static_cast<int>(kFaultStep) + 1);
+  const auto u = probe->fields(0).get(sw::FieldId::U).first(
+      static_cast<std::size_t>(probe->local_mesh(0).num_owned_edges));
+  const auto large = std::find_if(u.begin(), u.end(),
+                                  [](Real x) { return std::abs(x) >= 2; });
+  ASSERT_NE(large, u.end());
+
+  FaultInjector inj;
+  FaultSpec sdc;
+  sdc.kind = FaultKind::StateCorrupt;
+  sdc.rank = 0;
+  sdc.step = kFaultStep;
+  sdc.tag = static_cast<int>(sw::FieldId::U);
+  sdc.word = static_cast<std::uint64_t>(large - u.begin());
+  inj.add(sdc);
+  comm::ResilienceOptions opts;
+  opts.injector = &inj;
+  opts.checkpoint_interval = 2;
+  auto d = make_distributed(mesh, kRanks, *tc, params, &opts);
+  d->run(kSteps);
+
+  EXPECT_TRUE(inj.exhausted());
+  EXPECT_EQ(d->resilience_stats().poisoned_states_detected, 1u);
+  EXPECT_EQ(d->resilience_stats().rollbacks, 1u);
+  EXPECT_EQ(d->resilience_stats().steps_replayed, 2u);
+  expect_bitwise_equal(gather_state(*d), truth);
 }
 
 TEST_F(ResilientRun, RepeatedStateCorruptionEscalatesAfterMaxRollbacks) {

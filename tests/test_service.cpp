@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/telemetry/event_log.hpp"
 #include "obs/telemetry/flight_recorder.hpp"
 #include "service/admission.hpp"
@@ -358,6 +360,39 @@ TEST(SessionManager, QuarantineDegradesOnlyTheVictimSession) {
   EXPECT_EQ(b.state, SessionState::Completed) << b.reason;
   EXPECT_EQ(b.replans, 0);
   EXPECT_EQ(b.state_hash, v.state_hash);  // same experiment, same bits
+}
+
+TEST(SessionManager, FinishedSessionsLeaveNoScopedMetrics) {
+  // Each session's hybrid publishes service.session<id>.resilience.health.*
+  // series; the manager erases them once the session is terminal, so a
+  // long-running service's registry does not grow with every session.
+  SessionManager service(small_service(2));
+  SessionRequest victim = small_request("victim");
+  victim.steps = 8;
+  victim.chaos.quarantine_accel_at_step = 3;
+  SessionRequest retried = small_request("retried");
+  retried.chaos.fail_first_attempts = 1;
+  const auto vid = service.submit(victim);
+  const auto rid = service.submit(retried);
+  const auto pid = service.submit(small_request("plain"));
+  ASSERT_TRUE(service.drain());
+  for (const auto id : {vid, rid, pid})
+    EXPECT_EQ(service.result(id).state, SessionState::Completed)
+        << service.result(id).reason;
+  EXPECT_GE(service.result(vid).replans, 1);  // a health transition happened
+
+  const auto scoped = [](const std::string& name) {
+    const std::string prefix = "service.session";
+    return name.starts_with(prefix) && name.size() > prefix.size() &&
+           std::isdigit(static_cast<unsigned char>(name[prefix.size()]));
+  };
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+  for (const auto& [name, value] : snap.counters)
+    EXPECT_FALSE(scoped(name)) << name;
+  for (const auto& [name, value] : snap.gauges)
+    EXPECT_FALSE(scoped(name)) << name;
+  for (const auto& [name, value] : snap.histograms)
+    EXPECT_FALSE(scoped(name)) << name;
 }
 
 TEST(SessionManager, ThrowingSessionFailsAloneAndServiceSurvives) {
