@@ -1,7 +1,6 @@
 // Verify the shipped Algorithm-1 data-flow graphs: graph-level static
-// checks (dependency edges, same-level conflicts, halo-depth budget),
-// the access-set replay of every pattern body on a small mesh, and the
-// happens-before race model of the node-parallel schedule.
+// checks (structure, dependency edges, halo-depth budget) and the
+// access-set replay of every pattern body on a small mesh.
 //
 // Exit code is the number of error-severity findings, so CI can gate on
 // it directly (0 = the declared world matches the actual world).
@@ -36,9 +35,8 @@ int main(int argc, char** argv) {
   const int level = static_cast<int>(cfg.get_int("level", 2));
   const bool verbose = cfg.get_bool("verbose", false);
 
-  sw::VerifyOptions options;
-  options.graph.halo_layers =
-      static_cast<int>(cfg.get_int("halo_layers", 2));
+  analysis::CheckOptions options;
+  options.halo_layers = static_cast<int>(cfg.get_int("halo_layers", 2));
 
   // A small mesh is enough: the access replay checks which fields a body
   // touches, not what it computes, and every stencil shape exists at any
@@ -58,7 +56,7 @@ int main(int argc, char** argv) {
   std::printf("verifying RK4 data-flow graphs (diffusion=%d tracer=%d, "
               "%d cells, halo_layers=%d)\n",
               diffusion ? 1 : 0, tracer ? 1 : 0, mesh->num_cells,
-              options.graph.halo_layers);
+              options.halo_layers);
 
   const analysis::Report report =
       sw::verify_sw_graphs(graphs, &ctx, options);
@@ -74,7 +72,7 @@ int main(int argc, char** argv) {
               report.errors(), report.warnings(),
               report.diagnostics().size());
   if (report.clean())
-    std::printf("OK: declared access sets, edges, halo syncs, and the "
-                "node-parallel schedule are consistent\n");
+    std::printf("OK: declared access sets, dependency edges and halo syncs "
+                "are consistent\n");
   return report.errors();
 }

@@ -1,10 +1,10 @@
 // Structured diagnostics for the schedule & data-flow verifier.
 //
-// Every checker (graph-level static checks, access-set replay, the
-// happens-before race detector) reports through the same Diagnostic/Report
-// types so tests, the verify_dataflow CLI, and the MPAS_VERIFY=1 model
-// guard can all consume one format: a severity, a stable machine-readable
-// code, the node ids and field name involved, and a human message.
+// Every checker (graph-level static checks, the access-set replay, the
+// lock-order checker) reports through the same Diagnostic/Report types so
+// tests, the verify_dataflow CLI, and the MPAS_VERIFY=1 model guard can all
+// consume one format: a severity, a stable machine-readable code, the node
+// ids and field name involved, and a human message.
 #pragma once
 
 #include <string>
@@ -17,9 +17,9 @@ enum class Severity : int { Info = 0, Warning = 1, Error = 2 };
 const char* to_string(Severity s);
 
 /// One finding. `code` is a stable kebab-case identifier tests key on
-/// ("missing-edge", "level-conflict", "halo-depth", "undeclared-write",
-/// "undeclared-access", "race", ...). `node`/`other_node` are data-flow
-/// node ids (or -1); `field` names the variable involved (or empty).
+/// ("missing-edge", "halo-depth", "undeclared-write", "undeclared-access",
+/// "lock-cycle", ...). `node`/`other_node` are data-flow node ids (or -1);
+/// `field` names the variable involved (or empty).
 struct Diagnostic {
   Severity severity = Severity::Error;
   std::string code;

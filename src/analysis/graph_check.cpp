@@ -76,30 +76,6 @@ std::vector<std::vector<char>> transitive_reach(const GraphFacts& facts) {
   return reach;
 }
 
-/// Longest-path level per node (valid only on an acyclic graph).
-std::vector<int> node_levels(const GraphFacts& facts) {
-  const int n = facts.num_nodes();
-  std::vector<int> level(static_cast<std::size_t>(n), 0);
-  // Process in topological order via repeated relaxation over forward
-  // edges; facts edges may be arbitrary, so relax n times (acyclicity is
-  // pre-checked by check_structure).
-  for (int pass = 0; pass < n; ++pass) {
-    bool changed = false;
-    for (int u = 0; u < n; ++u) {
-      for (int v : facts.succ[static_cast<std::size_t>(u)]) {
-        if (v < 0 || v >= n) continue;
-        const int want = level[static_cast<std::size_t>(u)] + 1;
-        if (level[static_cast<std::size_t>(v)] < want) {
-          level[static_cast<std::size_t>(v)] = want;
-          changed = true;
-        }
-      }
-    }
-    if (!changed) break;
-  }
-  return level;
-}
-
 std::string node_ref(const GraphFacts& facts, int id) {
   if (id < 0 || id >= facts.num_nodes()) return "<invalid>";
   return facts.nodes[static_cast<std::size_t>(id)].label;
@@ -217,37 +193,6 @@ Report check_dependency_edges(const GraphFacts& facts) {
   return report;
 }
 
-Report check_level_conflicts(const GraphFacts& facts) {
-  Report report;
-  const std::vector<int> level = node_levels(facts);
-  const int n = facts.num_nodes();
-  for (int a = 0; a < n; ++a) {
-    for (int b = a + 1; b < n; ++b) {
-      if (level[static_cast<std::size_t>(a)] !=
-          level[static_cast<std::size_t>(b)])
-        continue;
-      const FactNode& na = facts.nodes[static_cast<std::size_t>(a)];
-      const FactNode& nb = facts.nodes[static_cast<std::size_t>(b)];
-      auto conflict = [&](const std::vector<std::string>& xs,
-                          const std::vector<std::string>& ys,
-                          const char* what) {
-        for (const std::string& f : xs) {
-          if (std::find(ys.begin(), ys.end(), f) == ys.end()) continue;
-          report.add({Severity::Error, "level-conflict", a, b, f,
-                      std::string(what) + " overlap on '" + f + "' between " +
-                          na.label + " and " + nb.label +
-                          " at the same dependency level — the node-parallel"
-                          " executor would race"});
-        }
-      };
-      conflict(na.outputs, nb.outputs, "write/write");
-      conflict(na.outputs, nb.inputs, "write/read");
-      conflict(na.inputs, nb.outputs, "read/write");
-    }
-  }
-  return report;
-}
-
 Report check_halo_depth(const GraphFacts& facts, const CheckOptions& opts) {
   Report report;
   const int budget = 2 * opts.halo_layers;  // half-layer hops
@@ -301,9 +246,8 @@ Report check_halo_depth(const GraphFacts& facts, const CheckOptions& opts) {
 
 Report verify_graph(const GraphFacts& facts, const CheckOptions& opts) {
   Report report = check_structure(facts);
-  if (report.errors() > 0) return report;  // levels/paths undefined
+  if (report.errors() > 0) return report;  // paths undefined
   report.merge(check_dependency_edges(facts));
-  report.merge(check_level_conflicts(facts));
   report.merge(check_halo_depth(facts, opts));
   return report;
 }

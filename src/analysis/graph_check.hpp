@@ -12,10 +12,11 @@
 //   * dependency edges — every RAW/WAR/WAW hazard implied by the declared
 //                        field sets must be ordered by an edge path
 //                        ("missing-edge" otherwise: an executor following
-//                        the edges could overlap the two nodes unsafely);
-//   * level conflicts  — nodes on the same dependency level (which the
-//                        node-parallel executor runs concurrently) must not
-//                        have overlapping write/write or write/read sets;
+//                        the edges could overlap the two nodes unsafely).
+//                        This is the one hazard check: no edge path joins
+//                        two nodes of the same dependency level, so a
+//                        same-level overlap of access sets is always
+//                        reported here too;
 //   * halo depth       — a budget analysis of stencil reach against the
 //                        configured halo width: every stencil hop consumes
 //                        halo validity, every marked exchange restores it;
@@ -74,11 +75,10 @@ struct CheckOptions {
 
 Report check_structure(const GraphFacts& facts);
 Report check_dependency_edges(const GraphFacts& facts);
-Report check_level_conflicts(const GraphFacts& facts);
 Report check_halo_depth(const GraphFacts& facts, const CheckOptions& opts = {});
 
 /// All of the above (later checks are skipped if structure fails, since
-/// levels/reachability are undefined on a cyclic graph).
+/// reachability is undefined on a cyclic graph).
 Report verify_graph(const GraphFacts& facts, const CheckOptions& opts = {});
 Report verify_graph(const core::DataflowGraph& graph,
                     const CheckOptions& opts = {});

@@ -91,8 +91,6 @@ Real OffloadRuntime::transfer(BufferId id, bool to_device) {
   metric_transfers_->add(1);
   metric_bytes_->add(b.bytes);
   metric_transfer_bytes_->record(static_cast<double>(b.bytes));
-  if (transfer_observer_)
-    transfer_observer_({id, b.name, b.bytes, to_device});
   if (span.active())
     span.set_args(
         obs::trace_arg("bytes", static_cast<std::uint64_t>(b.bytes)) + "," +

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -102,22 +101,6 @@ class OffloadRuntime {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  /// One successfully delivered transfer, as seen by an observer.
-  struct TransferEvent {
-    BufferId id = -1;
-    std::string name;
-    std::size_t bytes = 0;
-    bool to_device = false;
-  };
-
-  /// Observe every successful transfer (after retries resolve). Used by the
-  /// analysis race detector to order host<->device movement against kernel
-  /// accesses. Pass an empty function to detach. The observer runs on the
-  /// thread issuing the transfer.
-  void set_transfer_observer(std::function<void(const TransferEvent&)> obs) {
-    transfer_observer_ = std::move(obs);
-  }
-
   [[nodiscard]] TransferPolicy policy() const { return policy_; }
   [[nodiscard]] std::size_t total_buffer_bytes() const;
   [[nodiscard]] std::size_t mesh_buffer_bytes() const;
@@ -143,7 +126,6 @@ class OffloadRuntime {
   resilience::RetryPolicy retry_;
   bool recover_ = true;
   Stats stats_;
-  std::function<void(const TransferEvent&)> transfer_observer_;
 
   // Global metrics, resolved once here so the transfer hot path is an
   // atomic bump instead of a registry lookup (the SectionHandle idiom).

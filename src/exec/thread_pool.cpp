@@ -71,20 +71,11 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::run_task_share(Task& task, int participant_id,
                                 int participants) {
   try {
-    if (task.schedule == LoopSchedule::Static) {
-      // One contiguous slab per participant, like OpenMP schedule(static).
-      const Index per = (task.n + participants - 1) / participants;
-      const Index begin = std::min<Index>(task.n, participant_id * per);
-      const Index end = std::min<Index>(task.n, begin + per);
-      if (begin < end) (*task.body)(begin, end);
-    } else {
-      for (;;) {
-        const Index begin = task.next.fetch_add(task.chunk);
-        if (begin >= task.n) break;
-        const Index end = std::min<Index>(task.n, begin + task.chunk);
-        (*task.body)(begin, end);
-      }
-    }
+    // One contiguous slab per participant, like OpenMP schedule(static).
+    const Index per = (task.n + participants - 1) / participants;
+    const Index begin = std::min<Index>(task.n, participant_id * per);
+    const Index end = std::min<Index>(task.n, begin + per);
+    if (begin < end) (*task.body)(begin, end);
   } catch (...) {
     util::LockGuard lock(error_mutex_);
     if (!error_) error_ = std::current_exception();
@@ -143,9 +134,8 @@ void ThreadPool::worker_loop(int worker_id) {
 }
 
 void ThreadPool::parallel_for(Index n,
-                              const std::function<void(Index, Index)>& body,
-                              LoopSchedule schedule, Index chunk) {
-  MPAS_CHECK(n >= 0 && chunk > 0);
+                              const std::function<void(Index, Index)>& body) {
+  MPAS_CHECK(n >= 0);
   if (n == 0) return;
   regions_.fetch_add(1, std::memory_order_relaxed);
 
@@ -163,8 +153,6 @@ void ThreadPool::parallel_for(Index n,
   Task task;
   task.body = &body;
   task.n = n;
-  task.chunk = chunk;
-  task.schedule = schedule;
   task.remaining.store(num_threads_, std::memory_order_relaxed);
   current_.store(&task);
   generation_.fetch_add(1);

@@ -1,5 +1,7 @@
 // A minimal task pool with a parallel_for front end, in the spirit of an
-// OpenMP `parallel for` with static or dynamic scheduling.
+// OpenMP `parallel for` with static scheduling. SwModel runs its graph
+// nodes in program order and hands each node's range to parallel_for;
+// DistributedSw runs its ranks through it.
 //
 // Design notes (following the OpenMP-examples idioms the paper relies on):
 //  * One pool is created per "device" and reused across kernels — mirroring
@@ -39,8 +41,6 @@
 
 namespace mpas::exec {
 
-enum class LoopSchedule { Static, Dynamic };
-
 class ThreadPool {
  public:
   /// `num_threads == 0` means run everything inline on the calling thread.
@@ -52,12 +52,10 @@ class ThreadPool {
 
   [[nodiscard]] int num_threads() const { return num_threads_; }
 
-  /// Apply `body(begin, end)` over [0, n) split into chunks. Static
-  /// scheduling hands each worker one contiguous slab; dynamic scheduling
-  /// lets workers grab `chunk`-sized pieces from a shared counter.
-  void parallel_for(Index n, const std::function<void(Index, Index)>& body,
-                    LoopSchedule schedule = LoopSchedule::Static,
-                    Index chunk = 1024);
+  /// Apply `body(begin, end)` over [0, n), one contiguous slab per
+  /// participant (the workers and the caller), like OpenMP
+  /// schedule(static).
+  void parallel_for(Index n, const std::function<void(Index, Index)>& body);
 
   /// Total number of parallel regions opened so far (the machine model
   /// charges a synchronization overhead per region, as in Section IV.B).
@@ -75,9 +73,6 @@ class ThreadPool {
   struct Task {
     const std::function<void(Index, Index)>* body = nullptr;
     Index n = 0;
-    Index chunk = 0;
-    LoopSchedule schedule = LoopSchedule::Static;
-    std::atomic<Index> next{0};
     std::atomic<int> remaining{0};
   };
 

@@ -444,8 +444,8 @@ SwModel::SwModel(const mesh::VoronoiMesh& mesh,
       graphs_.final, core::DeviceSide::Host, "default");
 
   // Opt-in declared-vs-actual verification: cross-check every pattern's
-  // access sets, edges, halo syncs, and the node-parallel schedule before
-  // the model is allowed to run.
+  // access sets, dependency edges and halo syncs before the model is
+  // allowed to run.
   if (env::flag("MPAS_VERIFY")) {
     const analysis::Report report =
         verify_sw_graphs(graphs_, ctx_.get(), {}, local_);
@@ -590,10 +590,10 @@ void SwModel::execute_run(const Run& run) {
   NodeProfiles* np = profiler.enabled() ? &node_profiles(graph) : nullptr;
   static const obs::profiling::ProfileHandle kInertHandle{};
 
-  // Run one node over its extent. `inner_parallel` chunks the node's range
-  // over the pool; it must be off in node-parallel mode (the pool's
-  // parallel_for is not reentrant) and for irregular whole-array variants.
-  auto run_node = [&](int id, bool inner_parallel) {
+  // Program order, which is topological by construction: one node at a
+  // time over its extent, its range split over the pool unless the variant
+  // is an irregular whole-array loop or the range is small.
+  for (int id = run.begin; id < run.end; ++id) {
     const core::PatternNode& node = graph.node(id);
     MPAS_CHECK_MSG(node.body, "node " << node.label << " has no body");
     const core::Assignment& asg =
@@ -603,8 +603,7 @@ void SwModel::execute_run(const Run& run) {
     auto run_range = [&](Index begin, Index end, core::VariantChoice v) {
       if (begin >= end) return;
       const bool irregular = v == core::VariantChoice::Irregular;
-      if (inner_parallel && pool_ != nullptr && !irregular &&
-          end - begin > 1024) {
+      if (pool_ != nullptr && !irregular && end - begin > 1024) {
         pool_->parallel_for(end - begin, [&](Index b, Index e) {
           node.body({begin + b, begin + e, v});
         });
@@ -642,34 +641,7 @@ void SwModel::execute_run(const Run& run) {
         break;
       }
     }
-  };
-
-  if (node_parallel_ && pool_ != nullptr) {
-    // Level-synchronous execution: nodes of one dependency level share no
-    // read/write hazards (every hazard is an edge, and an edge separates
-    // levels), so they may run concurrently, each single-threaded.
-    const std::vector<int> level = graph.levels();
-    const int max_level =
-        *std::max_element(level.begin(), level.end());
-    for (int l = 0; l <= max_level; ++l) {
-      std::vector<int> batch;
-      for (int id = run.begin; id < run.end; ++id)
-        if (level[static_cast<std::size_t>(id)] == l) batch.push_back(id);
-      pool_->parallel_for(
-          static_cast<Index>(batch.size()),
-          [&](Index b, Index e) {
-            for (Index i = b; i < e; ++i)
-              run_node(batch[static_cast<std::size_t>(i)],
-                       /*inner_parallel=*/false);
-          },
-          exec::LoopSchedule::Dynamic, 1);
-    }
-    return;
   }
-
-  // Program order, which is topological by construction.
-  for (int id = run.begin; id < run.end; ++id)
-    run_node(id, /*inner_parallel=*/true);
 }
 
 void SwModel::run_segment(Phase phase, int i) {

@@ -11,9 +11,10 @@
 //                  compute_solve_diagnostics, mpas_reconstruct.
 //
 // The same graphs serve three purposes:
-//   * functionally, SwModel executes their nodes (in any dependency-
-//     respecting order, with any host/accelerator range split) and must
-//     reproduce the reference integrator bit for bit;
+//   * functionally, SwModel executes their nodes in program order, each
+//     node data-parallel on an optional pool and split host/accelerator by
+//     its schedule, and must reproduce the reference integrator bit for
+//     bit;
 //   * distributed, each rank is a SwModel over its LocalMesh, its nodes
 //     bounded by their core::Extent (see comm::DistributedSw);
 //   * structurally, the benches hand them to core::simulate_schedule to
@@ -80,16 +81,9 @@ class SwModel {
   /// profiler is disabled.
   void publish_predictions(const core::SimOptions& sim) const;
 
-  /// Optional thread pool for data-parallel node execution.
+  /// Optional thread pool: nodes run one at a time in program order,
+  /// each node's range split over the pool.
   void set_pool(exec::ThreadPool* pool) { pool_ = pool; }
-
-  /// Node-parallel mode: execute mutually independent patterns of the same
-  /// dependency level concurrently on the pool (each node single-threaded)
-  /// instead of parallelizing within one node at a time — the "inherent
-  /// parallelism" of the data-flow diagram. Requires a pool. Results stay
-  /// bitwise identical: same-level nodes share no read/write hazards by
-  /// construction of the dependency edges.
-  void set_node_parallel(bool enabled) { node_parallel_ = enabled; }
 
   /// Compute initial diagnostics + reconstruction for the current H/U.
   void initialize();
@@ -163,7 +157,6 @@ class SwModel {
   NodeProfiles profiles_setup_, profiles_early_, profiles_final_;
   std::vector<Segment> init_segments_, step_segments_;
   exec::ThreadPool* pool_ = nullptr;
-  bool node_parallel_ = false;
 };
 
 }  // namespace mpas::sw

@@ -4,8 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/race_detector.hpp"
-
 namespace mpas::sw {
 
 namespace {
@@ -127,58 +125,16 @@ analysis::Report verify_pattern_access(const core::DataflowGraph& graph,
   return report;
 }
 
-analysis::Report verify_schedule_races(const core::DataflowGraph& graph) {
-  analysis::RaceDetector detector;
-  const std::vector<int> level = graph.levels();
-  int max_level = -1;
-  for (int l : level) max_level = std::max(max_level, l);
-
-  analysis::RaceDetector::TaskId prev = -1;
-  for (int l = 0; l <= max_level; ++l) {
-    std::vector<analysis::RaceDetector::TaskId> batch;
-    std::vector<int> batch_nodes;
-    for (int id = 0; id < graph.num_nodes(); ++id) {
-      if (level[static_cast<std::size_t>(id)] != l) continue;
-      const core::PatternNode& node = graph.node(id);
-      const auto task = detector.begin_task(node.label, id);
-      if (prev >= 0) detector.happens_before(prev, task);
-      batch.push_back(task);
-      batch_nodes.push_back(id);
-      for (const std::string& in : node.inputs) detector.on_read(task, in);
-      for (const std::string& out : node.outputs)
-        detector.on_write(task, out);
-    }
-    // The pool's implicit barrier, then the serial halo-exchange writes —
-    // exactly what SwModel's node-parallel executor enforces per level.
-    auto fence = detector.barrier(batch, "level-" + std::to_string(l));
-    if (prev >= 0) detector.happens_before(prev, fence);
-    for (int id : batch_nodes) {
-      if (!graph.has_halo_sync_after(id)) continue;
-      const core::PatternNode& node = graph.node(id);
-      const auto sync = detector.begin_task("halo:" + node.label, id);
-      detector.happens_before(fence, sync);
-      for (const std::string& out : node.outputs)
-        detector.on_write(sync, out);
-      fence = detector.barrier({fence, sync}, "post-halo-" + node.label);
-    }
-    prev = fence;
-  }
-  detector.publish_metrics();
-  return detector.report();
-}
-
 analysis::Report verify_sw_graphs(const SwGraphs& graphs, SwContext* ctx,
-                                  const VerifyOptions& options,
+                                  const analysis::CheckOptions& options,
                                   const partition::LocalMesh* local_mesh) {
   analysis::Report report;
   const core::DataflowGraph* all[] = {&graphs.setup, &graphs.early,
                                       &graphs.final};
   for (const core::DataflowGraph* graph : all) {
-    analysis::Report local = analysis::verify_graph(*graph, options.graph);
-    if (options.check_access_sets && ctx != nullptr)
+    analysis::Report local = analysis::verify_graph(*graph, options);
+    if (ctx != nullptr)
       local.merge(verify_pattern_access(*graph, *ctx, local_mesh));
-    if (options.check_schedule_races)
-      local.merge(verify_schedule_races(*graph));
     for (analysis::Diagnostic d : local.diagnostics()) {
       d.message = "[" + graph->name() + "] " + d.message;
       report.add(std::move(d));

@@ -8,12 +8,11 @@
 //     input/output sets. A mis-declared set silently corrupts the derived
 //     dependency edges — and therefore every hybrid schedule — so this is
 //     the contract check that makes the graph trustworthy.
-//   * verify_schedule_races — feeds the level-synchronous node-parallel
-//     execution order (level barriers + halo syncs, the ordering the
-//     executor actually enforces) through the vector-clock RaceDetector
-//     with the declared access sets.
-//   * verify_sw_graphs — graph-level static checks + both of the above for
-//     all three RK graphs.
+//   * verify_sw_graphs — the graph-level static checks (structure,
+//     dependency edges, halo depth) and the access replay for all three RK
+//     graphs. SwModel runs nodes in program order, so the dependency-edge
+//     check is the whole hazard contract: a schedule that follows the
+//     edges cannot race.
 //
 // SwModel runs verify_sw_graphs at construction when the MPAS_VERIFY flag
 // is on (util/env.hpp) and refuses to start on any error-severity finding.
@@ -35,23 +34,12 @@ analysis::Report verify_pattern_access(
     const core::DataflowGraph& graph, SwContext& ctx,
     const partition::LocalMesh* local_mesh = nullptr);
 
-/// Model the node-parallel executor's enforced ordering (per-level
-/// barriers, halo-exchange tasks) through the happens-before race detector
-/// using the declared access sets. Publishes check/violation counts to the
-/// global MetricsRegistry.
-analysis::Report verify_schedule_races(const core::DataflowGraph& graph);
-
-struct VerifyOptions {
-  analysis::CheckOptions graph;        // static-check options (halo budget)
-  bool check_access_sets = true;       // requires graphs built with a ctx
-  bool check_schedule_races = true;
-};
-
-/// Run every checker over the three RK graphs. `ctx` may be null, which
-/// skips the access replay (structure-only graphs carry no bodies);
-/// `local_mesh` bounds the replay as in verify_pattern_access.
+/// Run every checker over the three RK graphs. `options` sets the static
+/// checks (the halo budget); `ctx` may be null, which skips the access
+/// replay (structure-only graphs carry no bodies); `local_mesh` bounds the
+/// replay as in verify_pattern_access.
 analysis::Report verify_sw_graphs(const SwGraphs& graphs, SwContext* ctx,
-                                  const VerifyOptions& options = {},
+                                  const analysis::CheckOptions& options = {},
                                   const partition::LocalMesh* local_mesh = {});
 
 }  // namespace mpas::sw

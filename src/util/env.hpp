@@ -51,7 +51,7 @@ inline constexpr Variable kVariables[] = {
     {"MPAS_LOG_LEVEL", Kind::Text, "info",
      "logger level: debug, info, warn, error or off"},
     {"MPAS_VERIFY", Kind::Flag, "0",
-     "run the data-flow/race battery at model construction"},
+     "run the data-flow verifier at model construction"},
     {"MPAS_FAULT", Kind::Text, "", "scripted fault campaign spec"},
     {"MPAS_BENCH_OUT", Kind::Text, "bench_out",
      "default output directory for bench reports"},

@@ -1,16 +1,16 @@
 // Tests for the schedule & data-flow verifier: each checker must catch its
-// seeded defect (a deleted edge, a same-level write overlap, a dropped halo
-// sync, a mis-declared access set, an unordered schedule) and must pass
-// clean on the shipped Algorithm-1 graphs.
+// seeded defect (a deleted edge, an unordered write/write, write/read or
+// read/write pair, a dropped halo sync, a mis-declared access set) and must
+// pass clean on the shipped Algorithm-1 graphs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <numeric>
+#include <random>
 
 #include "analysis/graph_check.hpp"
-#include "analysis/race_detector.hpp"
-#include "exec/offload.hpp"
 #include "mesh/mesh_cache.hpp"
-#include "obs/metrics.hpp"
 #include "sw/model.hpp"
 #include "sw/verify.hpp"
 #include "util/env.hpp"
@@ -33,6 +33,61 @@ core::PatternNode make_node(std::string label, std::vector<std::string> in,
   n.outputs = std::move(out);
   n.cost_gather = {.flops = 1, .bytes_streamed = 8, .bytes_written = 8};
   return n;
+}
+
+/// One hand-built node's declared access sets.
+struct Access {
+  std::vector<std::string> in, out;
+};
+
+/// Facts for `nodes` in program order with exactly the given edges, which
+/// DataflowGraph's own derivation would never leave out.
+analysis::GraphFacts hand_built(const std::vector<Access>& nodes,
+                                const std::vector<std::pair<int, int>>& edges) {
+  analysis::GraphFacts facts;
+  facts.name = "hand-built";
+  for (const Access& a : nodes) {
+    const int id = facts.num_nodes();
+    facts.nodes.push_back({id, "n" + std::to_string(id),
+                           core::PatternKind::Local, MeshLocation::Cell, a.in,
+                           a.out});
+  }
+  facts.succ.resize(nodes.size());
+  facts.halo_after.assign(nodes.size(), 0);
+  for (const auto& [from, to] : edges)
+    facts.succ[static_cast<std::size_t>(from)].push_back(to);
+  return facts;
+}
+
+/// `first` and `last` conflict on "t". Left unordered, the conflict must
+/// surface as a missing edge in the hazard check and in the full verifier,
+/// both when the two nodes are adjacent in program order and when another
+/// writer of "t" sits between them (the unordered hazard is then one half
+/// of the chain through that writer).
+void expect_unordered_conflict_reported(const Access& first,
+                                        const Access& last) {
+  const analysis::GraphFacts pair = hand_built({first, last}, {});
+  const analysis::Report direct = analysis::check_dependency_edges(pair);
+  ASSERT_EQ(direct.errors(), 1) << direct.to_string();
+  EXPECT_EQ(direct.diagnostics()[0].code, "missing-edge");
+  EXPECT_EQ(direct.diagnostics()[0].node, 1);
+  EXPECT_EQ(direct.diagnostics()[0].other_node, 0);
+  EXPECT_EQ(direct.diagnostics()[0].field, "t");
+  EXPECT_TRUE(analysis::verify_graph(pair).has_code("missing-edge"));
+
+  const Access writer{{}, {"t"}};
+  for (const auto& half : {std::pair{0, 1}, std::pair{1, 2}}) {
+    SCOPED_TRACE("writer between, only edge " + std::to_string(half.first) +
+                 " -> " + std::to_string(half.second));
+    const analysis::GraphFacts facts =
+        hand_built({first, writer, last}, {half});
+    EXPECT_TRUE(
+        analysis::check_dependency_edges(facts).has_code("missing-edge"));
+    EXPECT_TRUE(analysis::verify_graph(facts).has_code("missing-edge"));
+  }
+  EXPECT_TRUE(analysis::verify_graph(
+                  hand_built({first, writer, last}, {{0, 1}, {1, 2}}))
+                  .clean());
 }
 
 struct SmallModelFixture {
@@ -102,21 +157,88 @@ TEST(GraphCheck, TransitiveOrderSatisfiesHazards) {
                   analysis::GraphFacts::from(g)).clean());
 }
 
-TEST(GraphCheck, SameLevelWriteOverlapIsAConflict) {
-  // Hand-built facts: two unordered nodes writing the same variable (the
-  // graph's own derivation would have ordered them, which is the point of
-  // the checker: it validates the declared world independently).
-  analysis::GraphFacts facts;
-  facts.name = "conflict";
-  facts.nodes.push_back({0, "w0", core::PatternKind::Local,
-                         MeshLocation::Cell, {}, {"t"}});
-  facts.nodes.push_back({1, "w1", core::PatternKind::Local,
-                         MeshLocation::Cell, {}, {"t"}});
-  facts.succ = {{}, {}};
-  facts.halo_after = {0, 0};
-  const analysis::Report report = analysis::check_level_conflicts(facts);
-  EXPECT_GE(report.errors(), 1);
-  EXPECT_TRUE(report.has_code("level-conflict"));
+TEST(GraphCheck, UnorderedWriteWriteIsAMissingEdge) {
+  expect_unordered_conflict_reported({{}, {"t"}}, {{}, {"t"}});
+}
+
+TEST(GraphCheck, UnorderedWriteReadIsAMissingEdge) {
+  expect_unordered_conflict_reported({{}, {"t"}}, {{"t"}, {"y"}});
+}
+
+TEST(GraphCheck, UnorderedReadWriteIsAMissingEdge) {
+  expect_unordered_conflict_reported({{"t"}, {"x"}}, {{}, {"t"}});
+}
+
+TEST(GraphCheck, EveryUnorderedConflictIsAMissingEdge) {
+  // Random acyclic fact sets: 2-7 nodes over three fields, edges drawn
+  // along a random topological order (so some run against program order).
+  // Two nodes conflict when one writes a field the other reads or writes.
+  // Whenever a conflicting pair has no edge path in either direction, the
+  // hazard check must report a missing edge; more exactly, it reports one
+  // iff some conflicting pair lacks a path in program order.
+  std::mt19937 rng(32);
+  const std::vector<std::string> names = {"f0", "f1", "f2"};
+  const auto shares = [](const std::vector<std::string>& xs,
+                         const std::vector<std::string>& ys) {
+    return std::any_of(xs.begin(), xs.end(), [&](const std::string& x) {
+      return std::find(ys.begin(), ys.end(), x) != ys.end();
+    });
+  };
+  int unordered_sets = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t n = 2 + rng() % 6;
+    std::vector<Access> nodes(n);
+    for (Access& a : nodes)
+      for (const std::string& f : names) {
+        if (rng() % 3 == 0) a.in.push_back(f);
+        if (rng() % 3 == 0) a.out.push_back(f);
+      }
+    std::vector<int> topo(n);
+    std::iota(topo.begin(), topo.end(), 0);
+    std::shuffle(topo.begin(), topo.end(), rng);
+    std::vector<std::pair<int, int>> edges;
+    for (std::size_t x = 0; x < n; ++x)
+      for (std::size_t y = x + 1; y < n; ++y)
+        if (rng() % 4 == 0) edges.emplace_back(topo[x], topo[y]);
+    const analysis::GraphFacts facts = hand_built(nodes, edges);
+    ASSERT_TRUE(analysis::check_structure(facts).clean());
+
+    // reach[a][b]: a path a -> ... -> b, by the test's own walk.
+    std::vector<std::vector<char>> reach(n, std::vector<char>(n, 0));
+    for (std::size_t start = 0; start < n; ++start) {
+      std::vector<int> stack{static_cast<int>(start)};
+      while (!stack.empty()) {
+        const auto u = static_cast<std::size_t>(stack.back());
+        stack.pop_back();
+        for (int v : facts.succ[u]) {
+          char& seen = reach[start][static_cast<std::size_t>(v)];
+          if (seen == 0) {
+            seen = 1;
+            stack.push_back(v);
+          }
+        }
+      }
+    }
+    bool unordered = false, out_of_order = false;
+    for (std::size_t a = 0; a < n; ++a)
+      for (std::size_t b = a + 1; b < n; ++b) {
+        const Access& x = nodes[a];
+        const Access& y = nodes[b];
+        if (!shares(x.out, y.out) && !shares(x.out, y.in) &&
+            !shares(x.in, y.out))
+          continue;
+        out_of_order |= reach[a][b] == 0;
+        unordered |= reach[a][b] == 0 && reach[b][a] == 0;
+      }
+    const bool reported =
+        analysis::check_dependency_edges(facts).has_code("missing-edge");
+    if (unordered) {
+      ++unordered_sets;
+      EXPECT_TRUE(reported) << "trial " << trial;
+    }
+    EXPECT_EQ(reported, out_of_order) << "trial " << trial;
+  }
+  EXPECT_GT(unordered_sets, 1000);  // the property was exercised
 }
 
 TEST(GraphCheck, CycleIsReportedAndStopsVerification) {
@@ -245,105 +367,6 @@ TEST(AccessReplay, RestoresFieldContentsAndCoefficients) {
   (void)sw::verify_pattern_access(graphs.early, fx.ctx);
   for (Real v : fx.fields.get(sw::FieldId::H)) ASSERT_DOUBLE_EQ(v, 7.5);
   EXPECT_DOUBLE_EQ(fx.ctx.rk_substep_coeff, 0.25);
-}
-
-// ---- happens-before race detection -----------------------------------------
-
-TEST(RaceDetector, OrderedAccessesAreNotRaces) {
-  analysis::RaceDetector d;
-  const auto w = d.begin_task("writer");
-  const auto r = d.begin_task("reader");
-  d.on_write(w, "h");
-  d.happens_before(w, r);
-  d.on_read(r, "h");
-  EXPECT_EQ(d.races(), 0);
-  EXPECT_EQ(d.checks(), 2);
-}
-
-TEST(RaceDetector, UnorderedWriteWriteAndReadWriteAreRaces) {
-  analysis::RaceDetector d;
-  const auto a = d.begin_task("a", 0);
-  const auto b = d.begin_task("b", 1);
-  d.on_write(a, "h");
-  d.on_write(b, "h");  // write/write, unordered
-  EXPECT_EQ(d.races(), 1);
-  d.on_read(a, "u");
-  d.on_write(b, "u");  // read/write, unordered
-  EXPECT_EQ(d.races(), 2);
-  EXPECT_TRUE(d.report().has_code("race"));
-  EXPECT_EQ(d.report().diagnostics()[0].node, 0);
-  EXPECT_EQ(d.report().diagnostics()[0].other_node, 1);
-}
-
-TEST(RaceDetector, BarrierOrdersEveryParticipant) {
-  analysis::RaceDetector d;
-  const auto a = d.begin_task("a");
-  const auto b = d.begin_task("b");
-  d.on_write(a, "x");
-  d.on_write(b, "y");
-  const auto fence = d.barrier({a, b}, "level-0");
-  const auto c = d.begin_task("c");
-  d.happens_before(fence, c);
-  d.on_write(c, "x");
-  d.on_read(c, "y");
-  EXPECT_EQ(d.races(), 0);
-}
-
-TEST(ScheduleRaces, ShippedSchedulesAreRaceFreeAndPublishMetrics) {
-  auto& checks = obs::MetricsRegistry::global().counter("analysis.race.checks");
-  auto& races =
-      obs::MetricsRegistry::global().counter("analysis.race.violations");
-  const std::uint64_t checks0 = checks.value();
-  const std::uint64_t races0 = races.value();
-
-  const sw::SwGraphs graphs = sw::build_sw_graphs(nullptr, true, true);
-  for (const core::DataflowGraph* g :
-       {&graphs.setup, &graphs.early, &graphs.final}) {
-    const analysis::Report report = sw::verify_schedule_races(*g);
-    EXPECT_TRUE(report.clean()) << g->name() << ":\n" << report.to_string();
-  }
-  EXPECT_GT(checks.value(), checks0);
-  EXPECT_EQ(races.value(), races0);
-}
-
-TEST(ScheduleRaces, ScheduleIgnoringAWarHazardRaces) {
-  // Model a broken executor that launches a reader and the next writer of
-  // the same variable in one epoch: the detector must flag it even though
-  // a correct data-flow graph exists.
-  analysis::RaceDetector d;
-  const auto producer = d.begin_task("produce-h", 0);
-  d.on_write(producer, "h");
-  const auto fence = d.barrier({producer}, "level-0");
-  const auto reader = d.begin_task("read-h", 1);
-  const auto clobber = d.begin_task("overwrite-h", 2);
-  d.happens_before(fence, reader);
-  d.happens_before(fence, clobber);  // WAR edge dropped by the "schedule"
-  d.on_read(reader, "h");
-  d.on_write(clobber, "h");
-  EXPECT_EQ(d.races(), 1);
-  EXPECT_NE(d.report().to_string().find("read/write"), std::string::npos);
-}
-
-// ---- offload transfer observation ------------------------------------------
-
-TEST(Offload, TransferObserverSeesEveryDelivery) {
-  exec::OffloadRuntime rt(machine::TransferLink{},
-                          exec::TransferPolicy::OnDemand, 1 << 20);
-  const auto id = rt.register_buffer("h", 1024, exec::BufferKind::ComputeData);
-  std::vector<exec::OffloadRuntime::TransferEvent> seen;
-  rt.set_transfer_observer(
-      [&seen](const exec::OffloadRuntime::TransferEvent& ev) {
-        seen.push_back(ev);
-      });
-  rt.ensure_on_device(id);
-  rt.mark_written_on_device(id);
-  rt.ensure_on_host(id);
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0].name, "h");
-  EXPECT_EQ(seen[0].bytes, 1024u);
-  EXPECT_TRUE(seen[0].to_device);
-  EXPECT_FALSE(seen[1].to_device);
-  EXPECT_EQ(seen[1].id, id);
 }
 
 // ---- full-model wiring -----------------------------------------------------

@@ -34,18 +34,6 @@ TEST(ThreadPool, CoversRangeExactlyOnceStatic) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, CoversRangeExactlyOnceDynamic) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(9999);
-  pool.parallel_for(
-      9999,
-      [&](Index b, Index e) {
-        for (Index i = b; i < e; ++i) hits[i].fetch_add(1);
-      },
-      LoopSchedule::Dynamic, 128);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPool, ReusableAcrossManyRegions) {
   ThreadPool pool(2);
   std::atomic<long> sum{0};
@@ -182,17 +170,12 @@ TEST(ThreadPoolHandshake, OversubscribedPoolCoversRangeExactlyOnce) {
   const int threads =
       2 * static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   ThreadPool pool(threads);
-  for (auto schedule : {LoopSchedule::Static, LoopSchedule::Dynamic}) {
-    for (int round = 0; round < 50; ++round) {
-      std::vector<std::atomic<int>> hits(5003);
-      pool.parallel_for(
-          5003,
-          [&](Index b, Index e) {
-            for (Index i = b; i < e; ++i) hits[i].fetch_add(1);
-          },
-          schedule, 97);
-      for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
-    }
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::atomic<int>> hits(5003);
+    pool.parallel_for(5003, [&](Index b, Index e) {
+      for (Index i = b; i < e; ++i) hits[i].fetch_add(1);
+    });
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
   }
 }
 

@@ -142,27 +142,6 @@ TEST(HybridModel, DiffusionGraphsMatchReference) {
   expect_bitwise_equal(model.fields(), ref.fields());
 }
 
-TEST(HybridModel, NodeParallelExecutionMatchesReferenceBitwise) {
-  // Level-synchronous concurrent execution of independent patterns — the
-  // "inherent parallelism" of the data-flow diagram — must not change a
-  // single bit.
-  const auto mesh = mesh::get_global_mesh(3);
-  const SwParams p = params_for(*mesh, 5);
-
-  ReferenceIntegrator ref(*mesh, p, LoopVariant::BranchFree);
-  init_reference(ref, 5);
-  ref.run(8);
-
-  exec::ThreadPool pool(4);
-  SwModel model(*mesh, p);
-  model.set_pool(&pool);
-  model.set_node_parallel(true);
-  init_model(model, 5);
-  model.run(8);
-
-  expect_bitwise_equal(model.fields(), ref.fields());
-}
-
 TEST(HybridModel, SegmentExchangesFirePerSyncPoint) {
   // initialize() and step() are cut at the graphs' halo-sync marks;
   // comm::DistributedSw exchanges each segment's fields before the next.

@@ -1,8 +1,8 @@
 // The locality cell order (mesh::renumber_cells): it moves values and never
 // recomputes them, so the mesh build equals a renumbered copy of the
 // generation-order mesh array for array, and a step on it is the permuted
-// step on the generation-order mesh, bit for bit, for every loop variant and
-// executor.
+// step on the generation-order mesh, bit for bit, for every loop variant, in
+// the reference integrator and in SwModel serial or on a pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -94,14 +94,13 @@ void expect_same_mesh(const VoronoiMesh& a, const VoronoiMesh& b) {
 #undef MPAS_EXPECT_SAME_ARRAY
 }
 
-enum class Runner { Reference, Serial, Pool, NodeParallel };
+enum class Runner { Reference, Serial, Pool };
 
 const char* to_string(Runner r) {
   switch (r) {
     case Runner::Reference: return "ReferenceIntegrator";
     case Runner::Serial: return "SwModel serial";
     case Runner::Pool: return "SwModel ThreadPool(3)";
-    case Runner::NodeParallel: return "SwModel node-parallel";
   }
   return "?";
 }
@@ -149,8 +148,7 @@ Fields run_steps(const VoronoiMesh& mesh, const sw::SwParams& params,
   model.set_schedules(host(graphs.setup), host(graphs.early),
                       host(graphs.final));
   exec::ThreadPool pool(3);
-  if (runner != Runner::Serial) model.set_pool(&pool);
-  model.set_node_parallel(runner == Runner::NodeParallel);
+  if (runner == Runner::Pool) model.set_pool(&pool);
   set_up(model.fields());
   model.initialize();
   model.run(kSteps);
@@ -211,8 +209,8 @@ TEST(MeshNumbering, StepIsThePermutedStep) {
           p.nu_del2_h = 1e4;
           p.nu_del2_u = 1e4;
         }
-        for (const Runner runner : {Runner::Reference, Runner::Serial,
-                                    Runner::Pool, Runner::NodeParallel}) {
+        for (const Runner runner :
+             {Runner::Reference, Runner::Serial, Runner::Pool}) {
           SCOPED_TRACE(std::string(sw::to_string(variant)) + ", " +
                        to_string(runner) +
                        (tracer_and_diffusion ? ", tracer + del2" : ""));
